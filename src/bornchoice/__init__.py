@@ -14,6 +14,7 @@ from __future__ import annotations
 __version__ = "0.1.0"
 
 from .classical import (
+    CertificateError,
     ClassicalProbability,
     FeasibilityResult,
     PatternError,
@@ -84,6 +85,7 @@ __all__ = [
     "__version__",
     "Act",
     "BUILTIN_NAMES",
+    "CertificateError",
     "ClassicalProbability",
     "DEFAULT_UTILITY",
     "ExperimentCounts",

@@ -3,11 +3,12 @@
 Expected utility W(f) = sum_i p_i u(x_i) for a single probability
 assignment p, plus exact feasibility analysis of joint preference
 patterns: because every W(f) - W(g) is affine in p, a pattern of strict
-preferences and indifferences is decided exactly over the constraint
-polytope (a product of scaled simplices), with a dense grid sweep as an
-independent cross-check. Infeasibility comes with a sign-analysis
-certificate, and the certificate notes when the conclusion does not
-depend on the utility values at all.
+preferences and indifferences is decided by one linear program over the
+constraint polytope (a product of scaled simplices), and the verdict is
+proven in exact rational arithmetic: a feasible pattern by a witness
+point on the polytope, an infeasible one by the program's dual
+multipliers. A sign-analysis text explains an infeasibility, and notes
+when the conclusion does not depend on the utility values at all.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -45,6 +45,14 @@ GROUP_SUM_TOL = 1e-12
 
 class PatternError(ValueError):
     """Raised for preference patterns that cannot be parsed or do not fit the scenario."""
+
+
+class CertificateError(RuntimeError):
+    """Raised when neither a witness nor dual multipliers prove a feasibility verdict.
+
+    This is an internal fault of the decision procedure, not a property of
+    the input: no unproven verdict is ever returned.
+    """
 
 
 @dataclass(frozen=True)
@@ -158,12 +166,17 @@ class PreferencePattern:
 class FeasibilityResult:
     """Outcome of a pattern feasibility decision.
 
-    ``witness`` is present exactly when feasible and reproduces the
-    pattern with margin at least 1e-9 on strict entries; ``certificate``
-    explains an infeasibility by sign analysis of the affine difference
-    functionals. ``u_independent`` records whether every functional's
-    sign structure involves a single payoff swap, in which case the
-    conclusion holds for every strictly increasing utility function.
+    ``witness`` is present exactly when feasible: a point on the polytope
+    whose strict margins are at least 1e-9 and whose indifferences are
+    within 1e-9 of zero, checked in exact arithmetic. ``multipliers`` is
+    present exactly when infeasible: one weight per question pair, on the
+    condition oriented as the pattern requires, which proves in exact
+    arithmetic that no admissible probability meets the pattern.
+    ``certificate`` explains the verdict by sign analysis of the affine
+    difference functionals. ``u_independent`` records whether every
+    functional's sign structure involves a single payoff swap, in which
+    case the conclusion holds for every strictly increasing utility
+    function.
     """
 
     scenario_name: str
@@ -172,7 +185,7 @@ class FeasibilityResult:
     witness: Optional[ClassicalProbability]
     certificate: str
     margin: Optional[float]
-    grid_agrees: Optional[bool]
+    multipliers: Optional[tuple[Fraction, ...]]
     u_independent: bool
 
     def to_dict(self) -> dict:
@@ -183,7 +196,8 @@ class FeasibilityResult:
             "witness": None if self.witness is None else self.witness.to_dict(),
             "certificate": self.certificate,
             "margin": self.margin,
-            "grid_agrees": self.grid_agrees,
+            "multipliers": None if self.multipliers is None
+            else [f"{w.numerator}/{w.denominator}" for w in self.multipliers],
             "u_independent": self.u_independent,
         }
 
@@ -191,10 +205,12 @@ class FeasibilityResult:
         lines = [f"scenario {self.scenario_name}: pattern is {'FEASIBLE' if self.feasible else 'INFEASIBLE'}"]
         if self.witness is not None:
             body = ", ".join(f"p({e}) = {p:.6g}" for e, p in self.witness.to_dict().items())
-            lines.append(f"  witness: {body} (margin {self.margin:.3e})")
+            margin = "" if self.margin is None else f" (margin {self.margin:.3e})"
+            lines.append(f"  witness: {body}{margin}")
         lines.append("  " + self.certificate.replace("\n", "\n  "))
-        if self.grid_agrees is not None:
-            lines.append(f"  grid cross-check (step 1e-3): {'agrees' if self.grid_agrees else 'DISAGREES'}")
+        if self.multipliers is not None:
+            weights = ", ".join(f"{float(w):.6g}" for w in self.multipliers)
+            lines.append(f"  dual multipliers per question pair (checked exactly): {weights}")
         return "\n".join(lines)
 
 
@@ -220,34 +236,18 @@ def _is_single_swap(scenario: Scenario, first: Union[Act, str, int], second: Uni
     return len(pairs) <= 1
 
 
-@dataclass(frozen=True)
-class _ReducedForm:
-    """Affine form coeffs . y + const on the polytope's free coordinates."""
+def _reduce(scenario: Scenario, coeffs: np.ndarray) -> np.ndarray:
+    """Restrict a linear form c . p to the polytope's free coordinates: (coefficients..., constant).
 
-    coeffs: tuple[float, ...]
-    const: float
-
-    def stacked(self) -> np.ndarray:
-        return np.array(list(self.coeffs) + [self.const], dtype=float)
-
-
-def _free_coordinates(scenario: Scenario) -> list[tuple[int, Fraction, tuple[int, ...]]]:
-    """Per group: (determined index, total, free indices); size-1 groups have no free index."""
-    out = []
-    for indices, total in scenario.groups():
-        out.append((indices[-1], total, indices[:-1]))
-    return out
-
-
-def _reduce(scenario: Scenario, coeffs: np.ndarray) -> _ReducedForm:
-    """Restrict a linear form c . p to the constraint polytope's free coordinates."""
+    Each group's last event is determined by the others and the group total.
+    """
     const = 0.0
     reduced: list[float] = []
-    for determined, total, free in _free_coordinates(scenario):
+    for indices, total in scenario.groups():
+        determined = indices[-1]
         const += coeffs[determined] * float(total)
-        for i in free:
-            reduced.append(float(coeffs[i] - coeffs[determined]))
-    return _ReducedForm(tuple(reduced), float(const))
+        reduced += [float(coeffs[i] - coeffs[determined]) for i in indices[:-1]]
+    return np.array(reduced + [const], dtype=float)
 
 
 def _describe_functional(scenario: Scenario, coeffs: np.ndarray, la: str, lb: str) -> str:
@@ -273,8 +273,8 @@ def biconditional_check(
     """
     ca = _difference_coefficients(scenario, pair_a[0], pair_a[1], u)
     cb = _difference_coefficients(scenario, pair_b[0], pair_b[1], u)
-    va = _reduce(scenario, ca).stacked()
-    vb = _reduce(scenario, cb).stacked()
+    va = _reduce(scenario, ca)
+    vb = _reduce(scenario, cb)
     scale = max(1.0, float(np.max(np.abs(va))), float(np.max(np.abs(vb))))
     tol = 1e-12 * scale
     a_zero = bool(np.all(np.abs(va) <= tol))
@@ -315,138 +315,87 @@ def _signed_conditions(
     return out
 
 
-def _solve_lp(scenario: Scenario, conditions) -> tuple[Optional[np.ndarray], Optional[float]]:
-    """Maximize the minimum strict margin over the polytope; returns (p, margin).
+def _solve_lp(scenario: Scenario, strict: list[np.ndarray], equal: list[np.ndarray]):
+    """Maximize the joint margin s with c . p >= s on strict rows and c . p = 0 on equal rows.
 
-    Without strict conditions this degenerates to a pure feasibility
-    check and the margin is None. Returns (None, None) when the LP is
-    infeasible.
+    Returns (p, s, strict weights, equal weights), the weights being the
+    HiGHS dual multipliers signed as :func:`_certifies` reads them, or
+    None when HiGHS finds no optimum.
     """
     n = scenario.n_events
-    strict = [c for kind, c, _ in conditions if kind == "strict"]
-    equal = [c for kind, c, _ in conditions if kind == "equal"]
+    groups = scenario.groups()
     a_eq = []
-    b_eq = []
-    for indices, total in scenario.groups():
+    for indices, _ in groups:
         row = np.zeros(n + 1)
         row[list(indices)] = 1.0
         a_eq.append(row)
-        b_eq.append(float(total))
-    for c in equal:
-        a_eq.append(np.append(c, 0.0))
-        b_eq.append(0.0)
-    bounds = [(0.0, 1.0)] * n
-    if strict:
-        # lifted variable s = joint margin; maximize it
-        a_ub = [np.append(-c, 1.0) for c in strict]
-        b_ub = [0.0] * len(strict)
-        bounds.append((None, float(np.max(np.abs(strict)) * n + 1.0)))
-        res = linprog(
-            c=np.append(np.zeros(n), -1.0),
-            A_ub=np.array(a_ub),
-            b_ub=np.array(b_ub),
-            A_eq=np.array(a_eq),
-            b_eq=np.array(b_eq),
-            bounds=bounds,
-            method="highs",
-        )
-        if not res.success:
-            return None, None
-        return res.x[:n], float(res.x[n])
+    a_eq += [np.append(c, 0.0) for c in equal]
+    b_eq = [float(total) for _, total in groups] + [0.0] * len(equal)
+    # c . p never exceeds max |c|, so the cap on s binds only without strict rows
+    cap = float(np.max(np.abs(strict), initial=0.0)) + 1.0
     res = linprog(
-        c=np.zeros(n),
-        A_eq=np.array(a_eq)[:, :n],
+        c=np.append(np.zeros(n), -1.0),
+        A_ub=np.array([np.append(-c, 1.0) for c in strict]).reshape(len(strict), n + 1),
+        b_ub=np.zeros(len(strict)),
+        A_eq=np.array(a_eq),
         b_eq=np.array(b_eq),
-        bounds=bounds,
+        bounds=[(0.0, 1.0)] * n + [(None, cap)],
         method="highs",
     )
     if not res.success:
-        return None, None
-    return res.x, None
-
-
-def _project_onto_polytope(scenario: Scenario, p: np.ndarray) -> ClassicalProbability:
-    out = np.clip(np.array(p, dtype=float), 0.0, 1.0)
-    for indices, total in scenario.groups():
-        idx = list(indices)
-        s = out[idx].sum()
-        if s <= 0:
-            # spread the group total evenly when the LP returned zeros
-            out[idx] = float(total) / len(idx)
-        else:
-            out[idx] *= float(total) / s
-    return ClassicalProbability(scenario, tuple(out.tolist()))
-
-
-def _grid_axes(scenario: Scenario, step: float) -> tuple[list[np.ndarray], list[tuple[int, ...]]]:
-    axes: list[np.ndarray] = []
-    group_slots: list[tuple[int, ...]] = []
-    slot = 0
-    for _determined, total, free in _free_coordinates(scenario):
-        slots = []
-        for _ in free:
-            axes.append(np.arange(0.0, float(total) + step / 2, step))
-            slots.append(slot)
-            slot += 1
-        group_slots.append(tuple(slots))
-    return axes, group_slots
-
-
-def _grid_decision(
-    scenario: Scenario, conditions, step: float
-) -> Optional[bool]:
-    """Cell-based dense sweep over the free coordinates.
-
-    A cell (hypercube of adjacent grid points) witnesses the pattern
-    when every strict condition is positive on all of its corners (an
-    affine function positive on the corners is positive on the whole
-    cell) and every equality condition changes sign or vanishes inside
-    it. Returns None when there are too many free coordinates to sweep.
-    """
-    reduced = [(kind, _reduce(scenario, c)) for kind, c, _ in conditions]
-    axes, group_slots = _grid_axes(scenario, step)
-    d = len(axes)
-    if d > 3:
         return None
-    if d == 0:
-        # fully pinned polytope: a single admissible point
-        ok = True
-        for kind, form in reduced:
-            value = form.const
-            ok &= (value > 1e-12) if kind == "strict" else (abs(value) <= STRICT_MARGIN)
-        return bool(ok)
-    mesh = np.meshgrid(*axes, indexing="ij") if d > 1 else [axes[0]]
-    valid = np.ones(mesh[0].shape, dtype=bool)
-    for slots, (_, total, free) in zip(group_slots, _free_coordinates(scenario)):
-        if len(slots) > 1:
-            total_used = sum(mesh[s] for s in slots)
-            valid &= total_used <= float(total) + 1e-12
-    values = []
-    for _kind, form in reduced:
-        v = np.full(mesh[0].shape, form.const, dtype=float)
-        for j, c in enumerate(form.coeffs):
-            v = v + c * mesh[j]
-        values.append(v)
+    return res.x[:n], float(res.x[n]), -res.ineqlin.marginals, res.eqlin.marginals[len(groups):]
 
-    corner_slices = list(product((slice(None, -1), slice(1, None)), repeat=d))
-    cell_valid = np.ones(tuple(s - 1 for s in mesh[0].shape), dtype=bool)
-    for sl in corner_slices:
-        cell_valid &= valid[sl]
-    feasible_cells = cell_valid
-    for (kind, _), v in zip(reduced, values):
-        corners = np.stack([v[sl] for sl in corner_slices], axis=0)
+
+def _exact_witness(scenario: Scenario, conditions, p: np.ndarray) -> Optional[list[Fraction]]:
+    """Rationalise an LP point onto the polytope and check the pattern there exactly.
+
+    Each group's largest coordinate takes what the others leave of the
+    exact group total, so rounding in the LP point cannot push it below
+    zero. Returns the rational point when every strict margin is at
+    least STRICT_MARGIN and every indifference is within STRICT_MARGIN of
+    zero, and None otherwise.
+    """
+    x = [Fraction(max(float(v), 0.0)) for v in p]
+    for indices, total in scenario.groups():
+        k = max(indices, key=lambda i: x[i])
+        x[k] = total - sum(x[i] for i in indices if i != k)
+        if x[k] < 0:
+            return None
+    for kind, coeffs, _ in conditions:
+        value = sum(Fraction(float(c)) * xi for c, xi in zip(coeffs, x))
+        if (value < STRICT_MARGIN) if kind == "strict" else (abs(value) > STRICT_MARGIN):
+            return None
+    return x
+
+
+def _certifies(scenario: Scenario, conditions, weights: Sequence[Fraction]) -> bool:
+    """Whether weights w, one per condition, prove in exact arithmetic that no admissible p meets the pattern.
+
+    For p on the polytope with every indifference exact and every strict
+    margin at least STRICT_MARGIN, non-negative strict weights give
+    sum_k w_k c_k . p >= STRICT_MARGIN * (sum of the strict w_k). The
+    groups partition the events, so the left side is at most
+    sum_G t_G max_{i in G} (sum_k w_k c_k)_i, one vertex per group. A
+    bound strictly below the right side is a contradiction; all-zero
+    weights never give one.
+    """
+    g = [Fraction(0)] * scenario.n_events
+    strict_total = Fraction(0)
+    for w, (kind, coeffs, _) in zip(weights, conditions):
         if kind == "strict":
-            feasible_cells = feasible_cells & np.all(corners > 1e-12, axis=0)
-        else:
-            feasible_cells = feasible_cells & (corners.min(axis=0) <= STRICT_MARGIN) & (
-                corners.max(axis=0) >= -STRICT_MARGIN
-            )
-    return bool(np.any(feasible_cells))
+            if w < 0:
+                return False
+            strict_total += w
+        for i, c in enumerate(coeffs):
+            g[i] += w * Fraction(float(c))
+    bound = sum(total * max(g[i] for i in indices) for indices, total in scenario.groups())
+    return bound < Fraction(STRICT_MARGIN) * strict_total
 
 
 def _infeasibility_certificate(scenario: Scenario, conditions, margin: Optional[float]) -> str:
     lines = [desc for _, _, desc in conditions]
-    reduced = [(kind, _reduce(scenario, c).stacked()) for kind, c, _ in conditions]
+    reduced = [(kind, _reduce(scenario, c)) for kind, c, _ in conditions]
     # point out when two conditions pull on one functional in opposite directions
     for i in range(len(reduced)):
         for j in range(i + 1, len(reduced)):
@@ -479,19 +428,19 @@ def feasibility(
     scenario: Scenario,
     pattern: Union[PreferencePattern, str],
     u: UtilityFunction = DEFAULT_UTILITY,
-    grid_step: float = 1e-3,
-    grid_check: bool = True,
 ) -> FeasibilityResult:
     """Decide exactly whether a joint preference pattern is realizable classically.
 
     Each pattern entry constrains the affine functional W(first) -
-    W(second) on the constraint polytope. The decision maximizes the
-    joint strict margin by linear programming over the polytope's exact
-    description; strict entries need an open region, so a feasible
-    pattern returns a witness with margin at least 1e-9. A cell-based
-    grid sweep at ``grid_step`` on the free coordinates must agree with
-    the exact decision; disagreement raises, since it would mean the
-    two decision procedures contradict each other.
+    W(second) on the constraint polytope. One linear program maximizes
+    the joint strict margin over the polytope's exact description; when
+    the pattern has no strict entry, or its indifferences admit no point,
+    each indifference becomes two opposite strict rows instead. The
+    verdict is then proven in exact rational arithmetic: feasible by the
+    program's point, rationalised onto the polytope, with every strict
+    margin at least 1e-9 and every indifference within 1e-9; infeasible
+    by the program's dual multipliers (see ``FeasibilityResult``). Raises
+    :class:`CertificateError` when neither proof holds.
     """
     if isinstance(pattern, str):
         pattern = PreferencePattern.from_text(scenario, pattern)
@@ -499,59 +448,56 @@ def feasibility(
     u_independent = all(
         _is_single_swap(scenario, a, b) for a, b in scenario.question_pairs
     )
-    p_opt, margin = _solve_lp(scenario, conditions)
-    has_strict = any(kind == "strict" for kind, _, _ in conditions)
-
-    feasible = p_opt is not None and (not has_strict or (margin is not None and margin >= STRICT_MARGIN))
-    witness = None
-    witness_margin: Optional[float] = None
-    if feasible:
-        witness = _project_onto_polytope(scenario, p_opt)
-        # recompute the margins from the witness itself; the LP solution
-        # must survive the projection onto the exact polytope
-        margins = []
-        for kind, coeffs, _ in conditions:
-            value = float(np.dot(coeffs, witness.as_array()))
-            if kind == "strict":
-                margins.append(value)
-            elif abs(value) > STRICT_MARGIN:
-                feasible = False
-        if feasible and margins:
-            witness_margin = min(margins)
-            if witness_margin < STRICT_MARGIN:
-                feasible = False
-        if not feasible:
-            witness = None
-
-    if grid_check:
-        grid = _grid_decision(scenario, conditions, grid_step)
-        grid_agrees = None if grid is None else (grid == feasible)
-        if grid_agrees is False:
-            raise RuntimeError(
-                f"grid sweep (step {grid_step}) contradicts the exact feasibility decision "
-                f"for pattern {pattern.describe(scenario)!r} on scenario {scenario.name!r}"
-            )
+    strict = [c for kind, c, _ in conditions if kind == "strict"]
+    equal = [c for kind, c, _ in conditions if kind == "equal"]
+    solved = _solve_lp(scenario, strict, equal) if strict else None
+    if solved is not None:
+        p, margin, strict_weights, equal_weights = solved
     else:
-        grid_agrees = None
+        # split each indifference c . p = 0 into c . p >= s and -c . p >= s;
+        # the strict entries get weight zero in this program's certificate
+        solved = _solve_lp(scenario, equal + [-c for c in equal], [])
+        if solved is None:
+            raise CertificateError(
+                f"the linear program failed for pattern {pattern.describe(scenario)!r} "
+                f"on scenario {scenario.name!r}"
+            )
+        p, _, split_weights, _ = solved
+        margin = None
+        strict_weights = np.zeros(len(strict))
+        equal_weights = split_weights[: len(equal)] - split_weights[len(equal):]
 
-    if feasible:
+    point = _exact_witness(scenario, conditions, p)
+    if point is not None:
         certificate = "\n".join(desc for _, _, desc in conditions)
         if u_independent:
             certificate += (
                 "\neach functional's sign depends only on the order of one payoff pair, "
                 "so the analysis holds for every strictly increasing utility function"
             )
+        witness = ClassicalProbability(scenario, tuple(float(v) for v in point))
         return FeasibilityResult(
             scenario_name=scenario.name,
             pattern=pattern,
             feasible=True,
             witness=witness,
             certificate=certificate,
-            margin=witness_margin,
-            grid_agrees=grid_agrees,
+            # as recomputed from the reported witness
+            margin=min((float(np.dot(c, witness.as_array())) for c in strict), default=None),
+            multipliers=None,
             u_independent=u_independent,
         )
 
+    strict_iter, equal_iter = iter(strict_weights), iter(equal_weights)
+    multipliers = tuple(
+        Fraction(float(next(strict_iter if kind == "strict" else equal_iter)))
+        for kind, _, _ in conditions
+    )
+    if not _certifies(scenario, conditions, multipliers):
+        raise CertificateError(
+            f"neither a witness nor the dual multipliers prove the verdict for pattern "
+            f"{pattern.describe(scenario)!r} on scenario {scenario.name!r}"
+        )
     certificate = _infeasibility_certificate(scenario, conditions, margin)
     if u_independent:
         certificate += (
@@ -565,6 +511,6 @@ def feasibility(
         witness=None,
         certificate=certificate,
         margin=margin,
-        grid_agrees=grid_agrees,
+        multipliers=multipliers,
         u_independent=u_independent,
     )

@@ -7,8 +7,9 @@ Subcommands:
   analyze        compute experiment statistics from choice cell counts
 
 Exit codes: 0 success, 1 verification failure, 2 solver non-convergence,
-64 usage error, 65 data error. Output is written once, at the end, to
-stdout or to --out.
+64 usage error, 65 data error, 70 internal error (a feasibility verdict
+that could not be proven). Output is written once, at the end, to stdout
+or to --out.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from . import __version__, classical, hilbert, solver, stats
-from .classical import PatternError
+from .classical import CertificateError, PatternError
 from .quantum import QuantumState
 from .scenarios import (
     BUILTIN_NAMES,
@@ -42,6 +43,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_USAGE = 64
 EXIT_DATA = 65
+EXIT_INTERNAL = 70
 
 
 class _CliError(Exception):
@@ -293,7 +295,6 @@ def _cmd_feasibility(args) -> int:
         "feasible": result.feasible,
         "margin": result.margin,
         "u_independent": result.u_independent,
-        "grid_agrees": result.grid_agrees,
     }
     for event in scenario.events:
         csv_row[f"witness_p_{event}"] = (
@@ -369,6 +370,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"bornchoice {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_DATA
+    except CertificateError as exc:
+        print(f"bornchoice {args.command}: internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry() -> None:

@@ -11,6 +11,7 @@ import pytest
 
 import test_hilbert_properties
 import test_quantum
+from test_classical import assert_verdict_proven
 from test_solver import central_difference_jacobian
 
 from bornchoice import classical, quantum, solver, stats
@@ -57,7 +58,7 @@ def test_criterion_3_joint_strict_pattern_infeasible_and_biconditional_holds():
     for name in ("ellsberg3", "machina5051"):
         result = classical.feasibility(builtin(name), "f1>f2,f4>f3")
         assert not result.feasible, f"{name} unexpectedly feasible"
-        assert result.grid_agrees is True
+        assert_verdict_proven(builtin(name), result)
     for name in ("machina5051", "reflection_lower", "reflection_upper"):
         assert classical.biconditional_check(builtin(name), ("f1", "f2"), ("f3", "f4"))
     assert time.perf_counter() - start < 10.0

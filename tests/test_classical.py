@@ -200,6 +200,41 @@ def _check_witness(scenario, pattern, result, u):
             assert abs(gap) <= STRICT_MARGIN
 
 
+def assert_verdict_proven(scenario, result, u=SQRT):
+    """Re-prove a feasibility verdict in exact rational arithmetic.
+
+    The conditions are rebuilt here from the payoffs: a feasible verdict
+    must carry a witness that, rationalised onto the polytope, meets every
+    relation; an infeasible one must carry multipliers w (non-negative on
+    strict relations) whose combined functional g = sum_k w_k c_k has
+    sum_G t_G max_{i in G} g_i < STRICT_MARGIN * (sum of strict w_k).
+    """
+    conditions = []
+    for (a, b), rel in zip(scenario.question_pairs, result.pattern.relations):
+        sign = -1 if rel == SECOND_STRICT else 1
+        c = [sign * Fraction(u(xa) - u(xb)) for xa, xb in zip(scenario.acts[a].payoffs, scenario.acts[b].payoffs)]
+        conditions.append((rel != INDIFFERENT, c))
+    if result.feasible:
+        assert result.multipliers is None
+        x = [Fraction(v) for v in result.witness.probs]
+        for indices, total in scenario.groups():
+            k = max(indices, key=lambda i: x[i])
+            x[k] = total - sum(x[i] for i in indices if i != k)
+        assert all(v >= 0 for v in x)
+        for strict, c in conditions:
+            value = sum(ci * xi for ci, xi in zip(c, x))
+            assert value >= STRICT_MARGIN if strict else abs(value) <= STRICT_MARGIN
+        return
+    assert result.witness is None
+    weights = result.multipliers
+    assert len(weights) == len(conditions)
+    assert all(w >= 0 for w, (strict, _) in zip(weights, conditions) if strict)
+    g = [sum(w * c[i] for w, (_, c) in zip(weights, conditions)) for i in range(scenario.n_events)]
+    bound = sum(total * max(g[i] for i in indices) for indices, total in scenario.groups())
+    strict_total = sum(w for w, (strict, _) in zip(weights, conditions) if strict)
+    assert bound < Fraction(STRICT_MARGIN) * strict_total
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 @pytest.mark.parametrize("u", [SQRT, LINEAR], ids=["sqrt", "linear"])
 def test_feasibility_truth_table(name, u):
@@ -208,7 +243,7 @@ def test_feasibility_truth_table(name, u):
         pattern = PreferencePattern(combo)
         result = feasibility(s, pattern, u)
         assert result.feasible == (combo in EXPECTED_FEASIBLE[name]), combo
-        assert result.grid_agrees is True
+        assert_verdict_proven(s, result, u)
         assert result.u_independent is True
         if result.feasible:
             _check_witness(s, pattern, result, u)
@@ -233,6 +268,28 @@ def test_feasibility_machina_paradox_pattern_infeasible():
     result = feasibility(builtin("machina5051"), "f1>f2,f4>f3")
     assert not result.feasible
     assert result.u_independent
+    assert_verdict_proven(builtin("machina5051"), result)
+
+    # the indifference meets the strict region only at its edge: the
+    # exact maximum margin is 0
+    edge = Scenario(
+        "edge",
+        ("E0", "E1", "E2", "E3"),
+        (
+            Act("f1", (100, 49, 1, 4)),
+            Act("f2", (36, 25, 36, 16)),
+            Act("f3", (9, 0, 25, 25)),
+            Act("f4", (9, 81, 1, 49)),
+        ),
+        (
+            ProbabilityConstraint(frozenset({0, 1}), Fraction(3, 7)),
+            ProbabilityConstraint(frozenset({2, 3}), Fraction(4, 7)),
+        ),
+        ((0, 1), (3, 2)),
+    )
+    result = feasibility(edge, "f1>f2,f4=f3")
+    assert not result.feasible
+    assert_verdict_proven(edge, result)
 
 
 def test_feasible_witness_values():
@@ -249,6 +306,19 @@ def test_feasible_witness_values():
     assert result.feasible
     delta = math.sqrt(202) - math.sqrt(101)
     assert result.margin == pytest.approx(delta * 50 / 101, abs=1e-6)
+
+    # a region thinner than 1e-3: p(B) in (0.3329, 0.3333)
+    thin = Scenario(
+        "ellsberg3_thin",
+        s.events,
+        (Act("f1", (100, 0, 0)), Act("f2", (0, 0, 100)), Act("f3", (99.76, 0, 0)), Act("f4", (0, 0, 100))),
+        s.constraints,
+        ((0, 1), (3, 2)),
+    )
+    result = feasibility(thin, "f1>f2,f4>f3")
+    assert result.feasible
+    assert result.margin == pytest.approx(2.0e-3, abs=1e-5)
+    assert_verdict_proven(thin, result)
 
 
 def test_feasibility_rejects_wrong_arity():
@@ -269,22 +339,46 @@ def test_feasibility_without_free_coordinates():
         ((0, 1),),
     )
     equal = feasibility(s, "f1=f2", LINEAR)
-    assert equal.feasible and equal.grid_agrees is True
+    assert equal.feasible
+    assert_verdict_proven(s, equal, LINEAR)
     strict = feasibility(s, "f1>f2", LINEAR)
-    assert not strict.feasible and strict.grid_agrees is True
+    assert not strict.feasible
+    assert_verdict_proven(s, strict, LINEAR)
+
+    # f1 dominates f2 on every event, so no probability makes them
+    # indifferent: the indifferences alone admit no point
+    dominated = Scenario(
+        "dominated",
+        ("a", "b"),
+        (Act("f1", (2, 2)), Act("f2", (1, 1)), Act("f3", (1, 2)), Act("f4", (2, 1))),
+        (ProbabilityConstraint(frozenset({0, 1}), Fraction(1)),),
+        ((0, 1), (2, 3)),
+    )
+    for pattern in ("f1=f2,f3=f4", "f1=f2,f3>f4"):
+        result = feasibility(dominated, pattern, LINEAR)
+        assert not result.feasible, pattern
+        assert result.margin is None
+        assert_verdict_proven(dominated, result, LINEAR)
 
 
-def test_feasibility_skips_grid_beyond_three_free_coordinates():
+def test_feasibility_decides_five_free_coordinates():
     s = Scenario(
         "wide",
-        ("a", "b", "c", "d", "e"),
-        (Act("f1", (5, 4, 3, 2, 1)), Act("f2", (1, 2, 3, 4, 5))),
-        (ProbabilityConstraint(frozenset(range(5)), Fraction(1)),),
-        ((0, 1),),
+        ("a", "b", "c", "d", "e", "f"),
+        (
+            Act("f1", (5, 4, 3, 2, 1, 3)),
+            Act("f2", (1, 2, 3, 4, 5, 3)),
+            Act("f3", (1, 2, 3, 4, 5, 3)),
+            Act("f4", (5, 4, 3, 2, 1, 3)),
+        ),
+        (ProbabilityConstraint(frozenset(range(6)), Fraction(1)),),
+        ((0, 1), (2, 3)),
     )
-    result = feasibility(s, "f1>f2", LINEAR)
-    assert result.feasible
-    assert result.grid_agrees is None
+    cases = (("f1>f2,f3<f4", True), ("f1=f2,f3=f4", True), ("f1>f2,f3>f4", False), ("f1=f2,f3>f4", False))
+    for pattern, feasible in cases:
+        result = feasibility(s, pattern, LINEAR)
+        assert result.feasible is feasible, pattern
+        assert_verdict_proven(s, result, LINEAR)
 
 
 def test_feasibility_reports_utility_dependence():
@@ -307,8 +401,9 @@ def test_feasibility_result_to_dict():
     assert data["feasible"] is False
     assert data["witness"] is None
     assert data["u_independent"] is True
-    assert data["grid_agrees"] is True
+    assert [Fraction(w) for w in data["multipliers"]] == list(result.multipliers)
     assert "INFEASIBLE" in result.summary()
+    assert feasibility(builtin("ellsberg3"), "f1>f2,f3>f4").to_dict()["multipliers"] is None
 
 
 # -- biconditional ------------------------------------------------------

@@ -8,8 +8,10 @@ import json
 
 import pytest
 
-from bornchoice import quantum, solver
-from bornchoice.cli import main
+from test_classical import assert_verdict_proven
+
+from bornchoice import classical, quantum, solver
+from bornchoice.cli import EXIT_INTERNAL, main
 from bornchoice.scenarios import builtin
 
 
@@ -182,7 +184,31 @@ def test_feasibility_json_payload(capsys):
     payload = json.loads(out)
     assert payload["feasible"] is False
     assert payload["u_independent"] is True
-    assert payload["grid_agrees"] is True
+    assert "grid_agrees" not in payload
+    result = classical.feasibility(builtin("machina5051"), "f1>f2,f4>f3")
+    assert payload["multipliers"] == [f"{w.numerator}/{w.denominator}" for w in result.multipliers]
+    assert_verdict_proven(builtin("machina5051"), result)
+
+
+@pytest.mark.parametrize("fmt", ["human", "json"])
+def test_feasibility_indifference_only_pattern(capsys, fmt):
+    code, out, err = run(capsys, ["feasibility", "f1=f2,f4=f3", "--scenario", "machina5051", "--format", fmt])
+    assert code == 0, err
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["feasible"] is True and payload["margin"] is None
+    else:
+        assert "pattern is FEASIBLE" in out
+
+
+@pytest.mark.parametrize("check, pattern", [("_certifies", "f1>f2,f4>f3"), ("_exact_witness", "f1>f2,f3>f4")])
+def test_feasibility_unproven_verdict_is_internal_error(capsys, monkeypatch, check, pattern):
+    # a verdict whose proof fails is never returned, whichever side it is on
+    monkeypatch.setattr(classical, check, lambda *args: None)
+    code, out, err = run(capsys, ["feasibility", pattern, "--scenario", "ellsberg3"])
+    assert code == EXIT_INTERNAL == 70
+    assert out == ""
+    assert "internal error" in err
 
 
 # -- analyze -------------------------------------------------------------------
