@@ -37,16 +37,18 @@ for j in range(x0.size):
 print("max Jacobian deviation at a random point:",
       f"{np.max(np.abs(numeric - system.jacobian(x0))):.2e}")
 
-# How unique is the answer? Clustering converged restarts by their moduli
-# shows the targets pin the ellsberg pair down to a single family, while
-# the reflection scenarios keep genuinely distinct solutions.
+# How unique is the answer? Clustering the converged solves of successive
+# seeds by their moduli shows the targets pin the ellsberg pair down to a
+# single family, while the reflection scenarios keep genuinely distinct
+# solutions.
+seeds = 4
 for name in ("ellsberg3", "reflection_lower"):
     sc = builtin(name)
     family = solver.explore_solution_family(
         sc, solver.SolveTarget.for_scenario(sc),
-        config=solver.SolverConfig(restarts=16, seed=3), count=4,
+        config=solver.SolverConfig(restarts=16, seed=3), count=seeds,
     )
-    print(f"\n{name}: {len(family)} distinct solution class(es) in 16 restarts")
+    print(f"\n{name}: {len(family)} distinct solution class(es) over {seeds} seeds")
     for member in family:
         print("  w1 moduli:", np.round(member.w1.moduli, 4))
 

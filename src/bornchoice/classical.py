@@ -344,7 +344,8 @@ def _solve_lp(scenario: Scenario, strict: list[np.ndarray], equal: list[np.ndarr
     )
     if not res.success:
         return None
-    return res.x[:n], float(res.x[n]), -res.ineqlin.marginals, res.eqlin.marginals[len(groups):]
+    # + 0.0 turns HiGHS's -0.0 optimum into 0.0, so no report prints a negative zero
+    return res.x[:n], float(res.x[n]) + 0.0, -res.ineqlin.marginals, res.eqlin.marginals[len(groups):]
 
 
 def _exact_witness(scenario: Scenario, conditions, p: np.ndarray) -> Optional[list[Fraction]]:

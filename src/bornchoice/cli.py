@@ -97,7 +97,8 @@ def build_parser() -> _Parser:
     p.add_argument("--d2", type=float, help="target gap for question pair 2 (default: registry value)")
     p.add_argument("--utility", default="sqrt", help="utility function: sqrt, linear, or power:ALPHA")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    p.add_argument("--restarts", type=int, default=64, help="random restarts (default 64)")
+    p.add_argument("--restarts", type=int, default=64, metavar="N",
+                   help="at most N random restarts; stops at the first with cost <= 1e-12 (default 64)")
     p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance (default 1e-8)")
 
     p = sub.add_parser("feasibility", parents=[output],

@@ -96,7 +96,7 @@ class SolveTarget:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Restart count, seed, and convergence thresholds; fixed config gives identical output."""
+    """Restart cap, seed, and convergence thresholds; fixed config gives identical output."""
 
     restarts: int = 64
     seed: int = 0
@@ -114,7 +114,13 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Best state pair found, its per-equation residuals, and search metadata."""
+    """Best state pair found, its per-equation residuals, and search metadata.
+
+    ``restarts_used`` is the number of restarts actually run: at most
+    ``SolverConfig.restarts``, fewer when a restart reached cost <= 1e-12
+    and the search stopped there. ``best_restart`` is the 0-based index
+    of the winning restart.
+    """
 
     scenario_name: str
     target: SolveTarget
@@ -170,12 +176,7 @@ class ResidualSystem:
         self.scenario = scenario
         self.target = target
         self.u = u
-        self.delta_1 = utility_values(scenario, target.pair_1[0], u) - utility_values(
-            scenario, target.pair_1[1], u
-        )
-        self.delta_2 = utility_values(scenario, target.pair_2[0], u) - utility_values(
-            scenario, target.pair_2[1], u
-        )
+        self.delta_1, self.delta_2 = _gap_vectors(scenario, target, u)
         self.groups = [(list(idx), math.sqrt(float(t))) for idx, t in scenario.groups()]
         self.n_events = scenario.n_events
         self.n_angles = sum(len(idx) - 1 for idx, _ in self.groups)
@@ -272,15 +273,26 @@ class ResidualSystem:
         return out[0], out[1]
 
 
+def _gap_vectors(
+    scenario: Scenario, target: SolveTarget, u: UtilityFunction
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-event utility differences of question pair 1 and of question pair 2."""
+    (a1, b1), (a2, b2) = target.pair_1, target.pair_2
+    return (
+        utility_values(scenario, a1, u) - utility_values(scenario, b1, u),
+        utility_values(scenario, a2, u) - utility_values(scenario, b2, u),
+    )
+
+
 def _named_residuals(
     scenario: Scenario,
     w1: QuantumState,
     w2: QuantumState,
     target: SolveTarget,
-    u: UtilityFunction,
+    d_1: np.ndarray,
+    d_2: np.ndarray,
 ) -> dict[str, float]:
-    d_1 = utility_values(scenario, target.pair_1[0], u) - utility_values(scenario, target.pair_1[1], u)
-    d_2 = utility_values(scenario, target.pair_2[0], u) - utility_values(scenario, target.pair_2[1], u)
+    """Every equation's residual; ``d_1``/``d_2`` are the pairs' gap vectors."""
     p1 = np.array(w1.probabilities())
     p2 = np.array(w2.probabilities())
     out = {
@@ -315,11 +327,16 @@ def solve(
 ) -> SolveResult:
     """Find a state pair meeting the targets; best of seeded random restarts.
 
-    All restarts run; the lowest sum of squared residuals wins, with
-    ties (within 1e-12) broken by the earliest restart, so the outcome
-    is deterministic for a fixed seed and independent of scheduling.
-    Non-convergence is reported in the result, not raised: the best
-    residuals found are always returned.
+    Restarts run in order. The lowest sum of squared residuals
+    wins, with ties (within 1e-12) broken by the earliest restart, so
+    the outcome is deterministic for a fixed seed. A later restart
+    replaces the best only when its cost is below ``best_cost - 1e-12``.
+    Once ``best_cost <= 1e-12`` that bound is at most 0, which no sum of
+    squares is below, so the search stops there: the result is
+    bit-identical to running all ``config.restarts``, and
+    ``restarts_used`` counts the restarts actually run. Non-convergence
+    is reported in the result, not raised: the best residuals found are
+    always returned.
     """
     system = ResidualSystem(scenario, target, u)
     rng = np.random.default_rng(config.seed)
@@ -343,8 +360,10 @@ def solve(
             best_cost = cost
             best_x = fit.x
             best_index = index
+        if best_cost <= 1e-12:
+            break
     w1, w2 = system.states(best_x)
-    residuals = _named_residuals(scenario, w1, w2, target, u)
+    residuals = _named_residuals(scenario, w1, w2, target, system.delta_1, system.delta_2)
     return SolveResult(
         scenario_name=scenario.name,
         target=target,
@@ -353,7 +372,7 @@ def solve(
         residuals=residuals,
         converged=_converged(residuals, target, config.residual_tolerance),
         cost=best_cost,
-        restarts_used=config.restarts,
+        restarts_used=index + 1,
         best_restart=best_index,
     )
 
@@ -372,7 +391,7 @@ def verify(
     since rounded three-decimal vectors are expected to sit within 2e-3
     of the exact group totals once projected.
     """
-    residuals = _named_residuals(scenario, w1, w2, target, u)
+    residuals = _named_residuals(scenario, w1, w2, target, *_gap_vectors(scenario, target, u))
     group_tol = min(tol, 2e-3)
     checks = []
     for name, value in residuals.items():

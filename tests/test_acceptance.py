@@ -50,7 +50,7 @@ def test_criterion_2_solver_reaches_all_targets_deterministically():
     first = solver.solve(builtin("ellsberg3"), SolveTarget.for_scenario(builtin("ellsberg3")),
                          config=config)
     assert again.to_dict() == first.to_dict()
-    assert time.perf_counter() - start < 30.0
+    assert time.perf_counter() - start < 5.0
 
 
 def test_criterion_3_joint_strict_pattern_infeasible_and_biconditional_holds():

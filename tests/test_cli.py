@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 
 import pytest
 
@@ -188,6 +189,22 @@ def test_feasibility_json_payload(capsys):
     result = classical.feasibility(builtin("machina5051"), "f1>f2,f4>f3")
     assert payload["multipliers"] == [f"{w.numerator}/{w.denominator}" for w in result.multipliers]
     assert_verdict_proven(builtin("machina5051"), result)
+
+
+@pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+@pytest.mark.parametrize("name", ["ellsberg3", "machina5051"])
+def test_feasibility_infeasible_margin_is_positive_zero(capsys, name, fmt):
+    # HiGHS reports the optimum of these programs as -0.0
+    code, out, _ = run(capsys, ["feasibility", "f1>f2,f4>f3", "--scenario", name, "--format", fmt])
+    assert code == 0
+    if fmt == "json":
+        margin = json.loads(out)["margin"]
+        assert margin == 0.0 and math.copysign(1.0, margin) == 1.0
+    elif fmt == "csv":
+        assert next(csv.DictReader(io.StringIO(out)))["margin"] == "0.0"
+    else:
+        assert "admissible set: 0.000e+00" in out
+        assert "-0.000e+00" not in out
 
 
 @pytest.mark.parametrize("fmt", ["human", "json"])
