@@ -2,13 +2,13 @@
 
 Expected utility W(f) = sum_i p_i u(x_i) for a single probability
 assignment p, plus exact feasibility analysis of joint preference
-patterns: because every W(f) - W(g) is affine in p, a pattern of strict
-preferences and indifferences is decided by one linear program over the
-constraint polytope (a product of scaled simplices), and the verdict is
-proven in exact rational arithmetic: a feasible pattern by a witness
-point on the polytope, an infeasible one by the program's dual
-multipliers. A sign-analysis text explains an infeasibility, and notes
-when the conclusion does not depend on the utility values at all.
+patterns. Every W(f) - W(g) is affine in p, and on the admissible p, a
+product of scaled simplices, v . p is at most h(v) = sum_G t_G max_{i in G}
+v_i. So a pattern on two question pairs is decided by minimising h along a
+line of functionals, convex and piecewise linear in one variable, in
+rational arithmetic: the minimiser gives a witness point or the
+multipliers that prove infeasibility. A sign-analysis text explains an
+infeasibility, and notes when it does not depend on the utility values.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .scenarios import (
     DEFAULT_UTILITY,
@@ -48,7 +47,7 @@ class PatternError(ValueError):
 
 
 class CertificateError(RuntimeError):
-    """Raised when neither a witness nor dual multipliers prove a feasibility verdict.
+    """Raised when the witness or the multipliers of a feasibility verdict fail their exact check.
 
     This is an internal fault of the decision procedure, not a property of
     the input: no unproven verdict is ever returned.
@@ -166,12 +165,17 @@ class PreferencePattern:
 class FeasibilityResult:
     """Outcome of a pattern feasibility decision.
 
-    ``witness`` is present exactly when feasible: a point on the polytope
-    whose strict margins are at least 1e-9 and whose indifferences are
-    within 1e-9 of zero, checked in exact arithmetic. ``multipliers`` is
-    present exactly when infeasible: one weight per question pair, on the
-    condition oriented as the pattern requires, which proves in exact
-    arithmetic that no admissible probability meets the pattern.
+    ``witness`` is present exactly when feasible: a rational point on the
+    polytope, in floats, with every strict margin at least 1e-9 and every
+    indifference exactly zero. ``multipliers`` is present exactly when
+    infeasible: one weight per question pair, on the condition oriented as
+    the pattern requires, whose weighted sum of conditions has its largest
+    value on the polytope below what the pattern needs. Two strict pairs
+    get (w, 1 - w); otherwise a strict pair gets 1, the first of two
+    indifferences +1 or -1 (its upper or lower bound misses zero), the last
+    indifference a real weight, or +1 or -1 alone when it holds nowhere.
+    ``margin`` is the least strict margin at the witness, else the largest
+    joint one, or None (no strict entry, or an indifference holds nowhere).
     ``certificate`` explains the verdict by sign analysis of the affine
     difference functionals. ``u_independent`` records whether every
     functional's sign structure involves a single payoff swap, in which
@@ -315,59 +319,85 @@ def _signed_conditions(
     return out
 
 
-def _solve_lp(scenario: Scenario, strict: list[np.ndarray], equal: list[np.ndarray]):
-    """Maximize the joint margin s with c . p >= s on strict rows and c . p = 0 on equal rows.
+def _support(groups, v: Sequence[Fraction]) -> Fraction:
+    """h(v) = sum_G t_G max_{i in G} v_i, the largest value of v . p on the polytope."""
+    return sum((t * max(v[i] for i in indices) for indices, t in groups), Fraction(0))
 
-    Returns (p, s, strict weights, equal weights), the weights being the
-    HiGHS dual multipliers signed as :func:`_certifies` reads them, or
-    None when HiGHS finds no optimum.
+
+def _mix_to_zero(p: list[Fraction], sp: Fraction, q: list[Fraction], sq: Fraction) -> list[Fraction]:
+    """The point of the segment [p, q] where an affine value, sp <= 0 at p and sq >= 0 at q, is zero."""
+    theta = Fraction(1) if sp == sq else sq / (sq - sp)
+    return [theta * x + (1 - theta) * y for x, y in zip(p, q)]
+
+
+def _line_minimum(groups, a, b, ends: Optional[tuple[Fraction, Fraction]] = None):
+    """(w, phi(w), point) for the least phi(w) = h(a + w b), w in ``ends`` or real (then h(+-b) >= 0).
+
+    phi is convex and linear between crossings of two events of one group,
+    so it is least at an end or a crossing; ties go to the smallest w. The
+    point is on the face where (a + w b) . p = phi(w): per group, the tied
+    events with the least and the greatest b_i give two vertices, mixed so
+    that b . p = 0, or the nearer one alone.
     """
-    n = scenario.n_events
-    groups = scenario.groups()
-    a_eq = []
+    candidates = set(ends or [Fraction(0)])
     for indices, _ in groups:
-        row = np.zeros(n + 1)
-        row[list(indices)] = 1.0
-        a_eq.append(row)
-    a_eq += [np.append(c, 0.0) for c in equal]
-    b_eq = [float(total) for _, total in groups] + [0.0] * len(equal)
-    # c . p never exceeds max |c|, so the cap on s binds only without strict rows
-    cap = float(np.max(np.abs(strict), initial=0.0)) + 1.0
-    res = linprog(
-        c=np.append(np.zeros(n), -1.0),
-        A_ub=np.array([np.append(-c, 1.0) for c in strict]).reshape(len(strict), n + 1),
-        b_ub=np.zeros(len(strict)),
-        A_eq=np.array(a_eq),
-        b_eq=np.array(b_eq),
-        bounds=[(0.0, 1.0)] * n + [(None, cap)],
-        method="highs",
-    )
-    if not res.success:
-        return None
-    # + 0.0 turns HiGHS's -0.0 optimum into 0.0, so no report prints a negative zero
-    return res.x[:n], float(res.x[n]) + 0.0, -res.ineqlin.marginals, res.eqlin.marginals[len(groups):]
+        candidates.update((a[j] - a[i]) / (b[i] - b[j]) for i in indices for j in indices if b[i] > b[j])
+    if ends:
+        candidates = {w for w in candidates if ends[0] <= w <= ends[1]}
+    values = {w: _support(groups, [x + w * y for x, y in zip(a, b)]) for w in candidates}
+    w = min(sorted(values), key=values.__getitem__)
+    lo, hi = [Fraction(0)] * len(a), [Fraction(0)] * len(a)
+    for indices, total in groups:
+        top = max(a[i] + w * b[i] for i in indices)
+        tied = sorted((b[i], i) for i in indices if a[i] + w * b[i] == top)
+        lo[tied[0][1]], hi[tied[-1][1]] = total, total
+    s_lo, s_hi = (sum(x * y for x, y in zip(b, v)) for v in (lo, hi))
+    return w, values[w], lo if s_lo > 0 else hi if s_hi < 0 else _mix_to_zero(lo, s_lo, hi, s_hi)
 
 
-def _exact_witness(scenario: Scenario, conditions, p: np.ndarray) -> Optional[list[Fraction]]:
-    """Rationalise an LP point onto the polytope and check the pattern there exactly.
+def _decide(scenario: Scenario, conditions):
+    """(rational witness, None, None), or (None, multipliers, margin) as in ``FeasibilityResult``."""
+    groups = scenario.groups()
+    c = [[Fraction(float(x)) for x in coeffs] for _, coeffs, _ in conditions]
+    strict = [k for k, (kind, _, _) in enumerate(conditions) if kind == "strict"]
+    equal = [k for k, (kind, _, _) in enumerate(conditions) if kind == "equal"]
+    if len(strict) == 2:
+        # max_p min(c1 . p, c2 . p) = min over w in [0, 1] of h(w c1 + (1 - w) c2)
+        w, margin, point = _line_minimum(groups, c[1], [x - y for x, y in zip(*c)], (Fraction(0), Fraction(1)))
+        return (point, None, None) if margin >= STRICT_MARGIN else (None, (w, 1 - w), margin)
 
-    Each group's largest coordinate takes what the others leave of the
-    exact group total, so rounding in the LP point cannot push it below
-    zero. Returns the rational point when every strict margin is at
-    least STRICT_MARGIN and every indifference is within STRICT_MARGIN of
-    zero, and None otherwise.
-    """
-    x = [Fraction(max(float(v), 0.0)) for v in p]
-    for indices, total in scenario.groups():
-        k = max(indices, key=lambda i: x[i])
-        x[k] = total - sum(x[i] for i in indices if i != k)
-        if x[k] < 0:
-            return None
-    for kind, coeffs, _ in conditions:
-        value = sum(Fraction(float(c)) * xi for c, xi in zip(coeffs, x))
-        if (value < STRICT_MARGIN) if kind == "strict" else (abs(value) > STRICT_MARGIN):
-            return None
-    return x
+    # else max {a . p : c_e . p = 0} = min over real l of h(a + l c_e) on the
+    # slice of the last indifference e, unbounded below when the slice is empty
+    weights = [Fraction(0)] * len(c)
+    b = c[equal[-1]] if equal else [Fraction(0)] * scenario.n_events
+    for sign in (1, -1):
+        if _support(groups, [sign * x for x in b]) < 0:
+            weights[equal[-1]] = Fraction(sign)
+            return None, tuple(weights), None
+    # a is a strict entry, or the first of two indifferences from both sides, or 0
+    runs = [(strict[0], 1)] if strict else [(equal[0], 1), (equal[0], -1)] if len(equal) == 2 else [(equal[0], 0)]
+    found = []
+    for k, sign in runs:
+        l, value, point = _line_minimum(groups, [sign * x for x in c[k]], b)
+        if value < (STRICT_MARGIN if strict else 0):
+            weights[k] = Fraction(sign)
+            if equal:
+                weights[equal[-1]] = l
+            return None, tuple(weights), value if strict else None
+        found.append((point, sign * value))
+    if len(found) == 2:
+        # c1 . p is top >= 0 at the first point and bottom <= 0 at the second
+        (upper, top), (lower, bottom) = found
+        return _mix_to_zero(lower, bottom, upper, top), None, None
+    return found[0][0], None, None
+
+
+def _exact_witness(scenario: Scenario, conditions, point: Sequence[Fraction]) -> bool:
+    """Whether a rational point is on the polytope, strict margins >= STRICT_MARGIN, indifferences exactly 0."""
+    if any(x < 0 for x in point) or any(sum(point[i] for i in idx) != t for idx, t in scenario.groups()):
+        return False
+    values = [(kind, sum(Fraction(float(c)) * x for c, x in zip(coeffs, point))) for kind, coeffs, _ in conditions]
+    return all(v >= STRICT_MARGIN if kind == "strict" else v == 0 for kind, v in values)
 
 
 def _certifies(scenario: Scenario, conditions, weights: Sequence[Fraction]) -> bool:
@@ -390,8 +420,7 @@ def _certifies(scenario: Scenario, conditions, weights: Sequence[Fraction]) -> b
             strict_total += w
         for i, c in enumerate(coeffs):
             g[i] += w * Fraction(float(c))
-    bound = sum(total * max(g[i] for i in indices) for indices, total in scenario.groups())
-    return bound < Fraction(STRICT_MARGIN) * strict_total
+    return _support(scenario.groups(), g) < Fraction(STRICT_MARGIN) * strict_total
 
 
 def _infeasibility_certificate(scenario: Scenario, conditions, margin: Optional[float]) -> str:
@@ -432,84 +461,44 @@ def feasibility(
 ) -> FeasibilityResult:
     """Decide exactly whether a joint preference pattern is realizable classically.
 
-    Each pattern entry constrains the affine functional W(first) -
-    W(second) on the constraint polytope. One linear program maximizes
-    the joint strict margin over the polytope's exact description; when
-    the pattern has no strict entry, or its indifferences admit no point,
-    each indifference becomes two opposite strict rows instead. The
-    verdict is then proven in exact rational arithmetic: feasible by the
-    program's point, rationalised onto the polytope, with every strict
-    margin at least 1e-9 and every indifference within 1e-9; infeasible
-    by the program's dual multipliers (see ``FeasibilityResult``). Raises
-    :class:`CertificateError` when neither proof holds.
+    The decision is the one-variable minimisation of the module docstring,
+    made in rational arithmetic. It is then proven: feasible by a point on
+    the polytope with every strict margin at least 1e-9 and every
+    indifference exactly zero, infeasible by the multipliers (see
+    ``FeasibilityResult``). Raises :class:`CertificateError` when the proof
+    fails.
     """
     if isinstance(pattern, str):
         pattern = PreferencePattern.from_text(scenario, pattern)
     conditions = _signed_conditions(scenario, pattern, u)
-    u_independent = all(
-        _is_single_swap(scenario, a, b) for a, b in scenario.question_pairs
-    )
-    strict = [c for kind, c, _ in conditions if kind == "strict"]
-    equal = [c for kind, c, _ in conditions if kind == "equal"]
-    solved = _solve_lp(scenario, strict, equal) if strict else None
-    if solved is not None:
-        p, margin, strict_weights, equal_weights = solved
-    else:
-        # split each indifference c . p = 0 into c . p >= s and -c . p >= s;
-        # the strict entries get weight zero in this program's certificate
-        solved = _solve_lp(scenario, equal + [-c for c in equal], [])
-        if solved is None:
-            raise CertificateError(
-                f"the linear program failed for pattern {pattern.describe(scenario)!r} "
-                f"on scenario {scenario.name!r}"
-            )
-        p, _, split_weights, _ = solved
-        margin = None
-        strict_weights = np.zeros(len(strict))
-        equal_weights = split_weights[: len(equal)] - split_weights[len(equal):]
-
-    point = _exact_witness(scenario, conditions, p)
-    if point is not None:
-        certificate = "\n".join(desc for _, _, desc in conditions)
-        if u_independent:
-            certificate += (
-                "\neach functional's sign depends only on the order of one payoff pair, "
-                "so the analysis holds for every strictly increasing utility function"
-            )
-        witness = ClassicalProbability(scenario, tuple(float(v) for v in point))
-        return FeasibilityResult(
-            scenario_name=scenario.name,
-            pattern=pattern,
-            feasible=True,
-            witness=witness,
-            certificate=certificate,
-            # as recomputed from the reported witness
-            margin=min((float(np.dot(c, witness.as_array())) for c in strict), default=None),
-            multipliers=None,
-            u_independent=u_independent,
-        )
-
-    strict_iter, equal_iter = iter(strict_weights), iter(equal_weights)
-    multipliers = tuple(
-        Fraction(float(next(strict_iter if kind == "strict" else equal_iter)))
-        for kind, _, _ in conditions
-    )
-    if not _certifies(scenario, conditions, multipliers):
+    u_independent = all(_is_single_swap(scenario, a, b) for a, b in scenario.question_pairs)
+    point, multipliers, margin = _decide(scenario, conditions)
+    feasible = point is not None
+    if not (_exact_witness(scenario, conditions, point) if feasible
+            else _certifies(scenario, conditions, multipliers)):
         raise CertificateError(
-            f"neither a witness nor the dual multipliers prove the verdict for pattern "
+            f"the {'witness does' if feasible else 'multipliers do'} not prove the verdict for pattern "
             f"{pattern.describe(scenario)!r} on scenario {scenario.name!r}"
         )
-    certificate = _infeasibility_certificate(scenario, conditions, margin)
+    witness = ClassicalProbability(scenario, tuple(float(v) for v in point)) if feasible else None
+    if feasible:
+        certificate = "\n".join(desc for _, _, desc in conditions)
+        # as recomputed from the reported witness
+        strict_values = [float(np.dot(c, witness.as_array())) for kind, c, _ in conditions if kind == "strict"]
+        margin = min(strict_values, default=None)
+    else:
+        margin = None if margin is None else float(margin)
+        certificate = _infeasibility_certificate(scenario, conditions, margin)
     if u_independent:
         certificate += (
             "\neach functional's sign depends only on the order of one payoff pair, "
-            "so the impossibility holds for every strictly increasing utility function"
+            f"so the {'analysis' if feasible else 'impossibility'} holds for every strictly increasing utility function"
         )
     return FeasibilityResult(
         scenario_name=scenario.name,
         pattern=pattern,
-        feasible=False,
-        witness=None,
+        feasible=feasible,
+        witness=witness,
         certificate=certificate,
         margin=margin,
         multipliers=multipliers,

@@ -256,7 +256,7 @@ def _cmd_solve(args) -> int:
             restarts=args.restarts, seed=args.seed, residual_tolerance=args.tol
         )
     except ScenarioError as exc:
-        raise _CliError(EXIT_USAGE, str(exc)) from exc
+        raise _CliError(EXIT_USAGE if len(scenario.question_pairs) == 2 else EXIT_DATA, str(exc)) from exc
     result = solver.solve(scenario, target, u, config)
     human_lines = [result.summary()]
     human_lines += _state_lines("w1", result.w1)

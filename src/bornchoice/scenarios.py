@@ -229,6 +229,8 @@ class Scenario:
         total = sum((c.total for c in self.constraints), Fraction(0))
         if total != 1:
             raise ScenarioError(f"constraint totals must sum to 1, got {total} (partition violation)")
+        if not 1 <= len(self.question_pairs) <= 2:
+            raise ScenarioError(f"a scenario needs one or two question pairs, got {len(self.question_pairs)}")
         for a, b in self.question_pairs:
             if not (0 <= a < len(self.acts) and 0 <= b < len(self.acts)):
                 raise ScenarioError(f"question pair ({a}, {b}) references a missing act")

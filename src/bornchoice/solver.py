@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
-from scipy.optimize import least_squares
 
 from . import hilbert
 from .quantum import QuantumState, state_from_polar
@@ -66,7 +65,9 @@ class SolveTarget:
         d2: Optional[float] = None,
         require_orthogonal: bool = True,
     ) -> "SolveTarget":
-        """Targets on the scenario's question pairs; gaps default to the registry values."""
+        """Targets on the scenario's two question pairs; gaps default to the registry values."""
+        if len(scenario.question_pairs) != 2:
+            raise ScenarioError(f"solving needs two question pairs; scenario {scenario.name!r} has one")
         if d1 is None or d2 is None:
             defaults = DEFAULT_TARGETS.get(scenario.name)
             if defaults is None:
@@ -271,6 +272,13 @@ class ResidualSystem:
             phases = np.mod(phases, 2 * math.pi)
             out.append(QuantumState(self.scenario, tuple(moduli.tolist()), tuple(phases.tolist())))
         return out[0], out[1]
+
+
+def least_squares(*args, **kwargs):
+    """``scipy.optimize.least_squares``, imported on first use so that only solving loads scipy."""
+    import scipy.optimize
+
+    return scipy.optimize.least_squares(*args, **kwargs)
 
 
 def _gap_vectors(

@@ -8,6 +8,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornchoice.classical import (
     FIRST_STRICT,
@@ -320,6 +322,18 @@ def test_feasible_witness_values():
     assert result.margin == pytest.approx(2.0e-3, abs=1e-5)
     assert_verdict_proven(thin, result)
 
+    # the indifference holds only between the two vertices, at their midpoint
+    mix = Scenario(
+        "mix",
+        ("a", "b"),
+        (Act("f1", (0, 10)), Act("f2", (5, 5))),
+        (ProbabilityConstraint(frozenset({0, 1}), Fraction(1)),),
+        ((0, 1),),
+    )
+    result = feasibility(mix, "f1=f2", LINEAR)
+    assert result.feasible
+    assert result.witness.probs == (0.5, 0.5)
+
 
 def test_feasibility_rejects_wrong_arity():
     s = builtin("ellsberg3")
@@ -404,6 +418,32 @@ def test_feasibility_result_to_dict():
     assert [Fraction(w) for w in data["multipliers"]] == list(result.multipliers)
     assert "INFEASIBLE" in result.summary()
     assert feasibility(builtin("ellsberg3"), "f1>f2,f3>f4").to_dict()["multipliers"] is None
+
+
+@st.composite
+def _square_scenarios(draw):
+    """2-6 events in 1-3 groups with rational totals, four acts with perfect-square payoffs."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    k = draw(st.integers(min_value=1, max_value=min(3, n)))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1), min_size=k - 1, max_size=k - 1)))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=k, max_size=k))
+    squares = st.sampled_from((0, 1, 4, 9, 16, 25, 36, 49, 64, 81, 100))
+    acts = tuple(
+        Act(f"f{j + 1}", tuple(draw(st.lists(squares, min_size=n, max_size=n)))) for j in range(4)
+    )
+    constraints = tuple(
+        ProbabilityConstraint(frozenset(range(lo, hi)), Fraction(w, sum(weights)))
+        for lo, hi, w in zip([0] + cuts, cuts + [n], weights)
+    )
+    return Scenario("squares", tuple(f"E{i}" for i in range(n)), acts, constraints, ((0, 1), (3, 2)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(scenario=_square_scenarios(), u=st.sampled_from([SQRT, LINEAR]))
+def test_feasibility_verdicts_are_proven_on_generated_scenarios(scenario, u):
+    # square payoffs make sqrt gaps integers, so ties and degenerate faces are common
+    for combo in product(RELATIONS, repeat=2):
+        assert_verdict_proven(scenario, feasibility(scenario, PreferencePattern(combo), u), u)
 
 
 # -- biconditional ------------------------------------------------------

@@ -6,6 +6,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,8 @@ from test_classical import assert_verdict_proven
 from bornchoice import classical, quantum, solver
 from bornchoice.cli import EXIT_INTERNAL, main
 from bornchoice.scenarios import builtin
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def run(capsys, argv):
@@ -142,6 +148,17 @@ def test_solve_malformed_scenario_file(capsys, tmp_path):
     assert "error" in err
 
 
+def test_solve_one_pair_scenario_is_data_error(capsys, tmp_path):
+    doc = builtin("ellsberg3").to_document()
+    doc["question_pairs"] = doc["question_pairs"][:1]
+    path = tmp_path / "one_pair.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["solve", "--scenario", str(path), "--d1", "0.5", "--d2", "0.5"])
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and "two question pairs" in err
+
+
 def test_solve_csv_row(capsys):
     code, out, _ = run(capsys, ["solve", "--scenario", "ellsberg3", "--format", "csv"])
     assert code == 0
@@ -178,6 +195,17 @@ def test_feasibility_incomplete_pattern(capsys):
     assert "error" in err
 
 
+def test_feasibility_three_pair_scenario_is_data_error(capsys, tmp_path):
+    doc = builtin("ellsberg3").to_document()
+    doc["question_pairs"].append(["f1", "f3"])
+    path = tmp_path / "three_pairs.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, ["feasibility", "f1>f2,f4>f3,f1>f3", "--scenario", str(path)])
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and "one or two question pairs" in err
+
+
 def test_feasibility_json_payload(capsys):
     code, out, _ = run(capsys, ["feasibility", "f1>f2,f4>f3",
                                 "--scenario", "machina5051", "--format", "json"])
@@ -194,7 +222,7 @@ def test_feasibility_json_payload(capsys):
 @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
 @pytest.mark.parametrize("name", ["ellsberg3", "machina5051"])
 def test_feasibility_infeasible_margin_is_positive_zero(capsys, name, fmt):
-    # HiGHS reports the optimum of these programs as -0.0
+    # the largest joint margin of these patterns is exactly 0, which must print without a sign
     code, out, _ = run(capsys, ["feasibility", "f1>f2,f4>f3", "--scenario", name, "--format", fmt])
     assert code == 0
     if fmt == "json":
@@ -354,3 +382,28 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert "bornchoice" in capsys.readouterr().out
+
+
+def test_only_solve_imports_scipy():
+    # scipy is imported on the first least-squares call, so a fresh
+    # interpreter shows which commands load it
+    script = (
+        "import contextlib, io, json, sys\n"
+        "from bornchoice.cli import main\n"
+        "loaded = {'import': 'scipy' in sys.modules}\n"
+        "for argv in (['verify-paper'], ['analyze'], ['feasibility', 'f1>f2,f4>f3', '--scenario', 'ellsberg3'],\n"
+        "             ['solve', '--scenario', 'ellsberg3']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        main(argv)\n"
+        "    loaded[argv[0]] = 'scipy' in sys.modules\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "import": False, "verify-paper": False, "analyze": False, "feasibility": False, "solve": True,
+    }

@@ -197,6 +197,9 @@ def test_scenario_rejects_bad_question_pairs():
         Scenario("s", ("a", "b", "c"), _acts3(), _constraints3(), ((0, 5),))
     with pytest.raises(ScenarioError, match="distinct"):
         Scenario("s", ("a", "b", "c"), _acts3(), _constraints3(), ((1, 1),))
+    for pairs in ((), ((0, 1), (1, 0), (0, 1))):
+        with pytest.raises(ScenarioError, match="one or two question pairs"):
+            Scenario("s", ("a", "b", "c"), _acts3(), _constraints3(), pairs)
 
 
 def test_constraint_total_range():
