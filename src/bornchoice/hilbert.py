@@ -252,12 +252,11 @@ def expectation(op: Union[HermitianOp, np.ndarray], v: Ket, unit_tol: float = UN
 def born_probability(proj: Union[Projector, np.ndarray], v: Ket, unit_tol: float = UNIT_TOL) -> float:
     """Born-rule probability <v|M|v> = ||M v||^2 of the outcome projected by M.
 
-    The result must land in [0, 1] within 1e-9 and is clipped onto the
-    interval to absorb roundoff.
+    A :class:`Projector` is used as constructed; raw arrays are checked
+    for hermiticity and idempotency at 1e-9. The result must land in
+    [0, 1] within 1e-9 and is clipped onto the interval to absorb roundoff.
     """
-    if isinstance(proj, Projector):
-        mat = proj.entries
-    else:
+    if not isinstance(proj, Projector):
         arr = _as_matrix(proj)
         herm = float(np.max(np.abs(arr - arr.conj().T)))
         idem = float(np.max(np.abs(arr @ arr - arr)))
@@ -265,8 +264,8 @@ def born_probability(proj: Union[Projector, np.ndarray], v: Ket, unit_tol: float
             raise HilbertError(
                 f"born_probability needs an orthogonal projector: max |M - M*| = {herm:.3e}, max |MM - M| = {idem:.3e}"
             )
-        mat = (arr + arr.conj().T) / 2.0
-    p = expectation(mat, v, unit_tol=unit_tol)
+        proj = (arr + arr.conj().T) / 2.0
+    p = expectation(proj, v, unit_tol=unit_tol)
     if p < -VALIDATION_TOL or p > 1.0 + VALIDATION_TOL:
         raise HilbertError(f"Born probability {p!r} is outside [0, 1] beyond tolerance")
     return float(min(1.0, max(0.0, p)))

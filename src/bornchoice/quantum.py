@@ -28,16 +28,11 @@ from .scenarios import (
     ScenarioError,
     UtilityFunction,
     act_operator,
-    utility_values,
 )
 
 # polar inputs are snapped onto the constraint surface when they are
 # this close; printed 3-decimal vectors land well inside the band
 SNAP_TOL = 5e-3
-
-# the quantum and direct probability-weighted evaluations of one act
-# must agree to this; larger gaps mean corrupted state or operator
-CROSS_CHECK_TOL = 1e-10
 
 INDIFFERENCE_BAND = 1e-9
 
@@ -183,21 +178,14 @@ def subjective_probabilities(state: QuantumState) -> ClassicalProbability:
 def expected_utility(
     state: QuantumState, act: Union[Act, str, int], u: UtilityFunction = DEFAULT_UTILITY
 ) -> float:
-    """Expected utility of an act in a belief state, via the act's operator.
+    """Expected utility of an act in a belief state: the quadratic form <psi|A|psi>.
 
-    Evaluates the quadratic form of the diagonal payoff-utility operator
-    in the state vector, and cross-checks it against the direct
-    probability-weighted sum; the two must agree to 1e-10.
+    ``A`` is the act's diagonal payoff-utility operator (see
+    :func:`~bornchoice.scenarios.act_operator`, which validates ``u`` on
+    the scenario's payoffs). On the state's Born marginal this equals
+    the classical probability-weighted sum of utilities.
     """
-    op = act_operator(state.scenario, act, u)
-    value = hilbert.expectation(op, state.ket())
-    direct = float(np.dot(np.array(state.probabilities()), utility_values(state.scenario, act, u)))
-    if abs(value - direct) > CROSS_CHECK_TOL:
-        raise RuntimeError(
-            f"operator evaluation {value!r} and probability-weighted sum {direct!r} disagree "
-            f"beyond {CROSS_CHECK_TOL:g} for act {state.scenario.act(act).label!r}"
-        )
-    return value
+    return hilbert.expectation(act_operator(state.scenario, act, u), state.ket())
 
 
 def preference(

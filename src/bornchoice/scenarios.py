@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
@@ -28,6 +29,11 @@ from .hilbert import HermitianOp
 
 class ScenarioError(ValueError):
     """Raised for malformed scenarios, acts, constraints, or utility functions."""
+
+
+# points, lowest to highest payoff inclusive, at which a non-table
+# utility is checked to be strictly increasing
+MONOTONICITY_GRID = 101
 
 
 @dataclass(frozen=True)
@@ -51,12 +57,14 @@ class UtilityFunction:
         if self.kind not in self._KINDS:
             raise ScenarioError(f"unknown utility kind {self.kind!r}; expected one of {self._KINDS}")
         if self.kind == "power":
-            if self.alpha is None or not self.alpha > 0:
-                raise ScenarioError(f"power utility needs alpha > 0, got {self.alpha!r}")
+            if self.alpha is None or not (math.isfinite(self.alpha) and self.alpha > 0):
+                raise ScenarioError(f"power utility needs a finite alpha > 0, got {self.alpha!r}")
         if self.kind == "table":
             if not self.table:
                 raise ScenarioError("table utility needs at least one (payoff, value) pair")
             pairs = sorted((float(x), float(u)) for x, u in self.table)
+            if not all(math.isfinite(v) for pair in pairs for v in pair):
+                raise ScenarioError(f"table utility needs finite payoffs and values, got {pairs}")
             for (x0, u0), (x1, u1) in zip(pairs, pairs[1:]):
                 if x1 == x0:
                     raise ScenarioError(f"table utility defines payoff {x0} twice")
@@ -114,8 +122,8 @@ class UtilityFunction:
                 return u
         raise ScenarioError(f"table utility is undefined at payoff {x}")
 
-    def check_increasing_on(self, payoffs: Iterable[float], grid: int = 101) -> None:
-        """Verify strict monotonicity on the given payoffs plus a sampled grid between them.
+    def check_increasing_on(self, payoffs: Iterable[float]) -> None:
+        """Verify strict monotonicity on the payoffs and on MONOTONICITY_GRID points spanning them.
 
         Raises
         ------
@@ -129,7 +137,8 @@ class UtilityFunction:
         values = [self(x) for x in points]  # raises if undefined at a payoff
         if self.kind != "table" and len(points) > 1:
             lo, hi = points[0], points[-1]
-            sampled = sorted(set(points) | {lo + (hi - lo) * i / (grid - 1) for i in range(grid)})
+            grid = {lo + (hi - lo) * i / (MONOTONICITY_GRID - 1) for i in range(MONOTONICITY_GRID)}
+            sampled = sorted(set(points) | grid)
             values = [self(x) for x in sampled]
             points = sampled
         for (x0, u0), (x1, u1) in zip(zip(points, values), zip(points[1:], values[1:])):
@@ -149,13 +158,16 @@ DEFAULT_UTILITY = UtilityFunction.sqrt()
 
 @dataclass(frozen=True)
 class Act:
-    """A named act: one dollar payoff per elementary event."""
+    """A named act: one finite dollar payoff per elementary event."""
 
     label: str
     payoffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "payoffs", tuple(float(x) for x in self.payoffs))
+        payoffs = tuple(float(x) for x in self.payoffs)
+        if not all(math.isfinite(x) for x in payoffs):
+            raise ScenarioError(f"act {self.label!r}: payoffs must be finite, got {list(payoffs)}")
+        object.__setattr__(self, "payoffs", payoffs)
 
     @property
     def n_events(self) -> int:
@@ -464,9 +476,10 @@ def load_scenario(document: Union[str, Mapping]) -> Scenario:
                 f"act {label!r}: expected {len(events)} payoffs (one per event), got {len(payoffs)}"
             )
         try:
-            acts.append(Act(label, tuple(float(x) for x in payoffs)))
+            payoffs = tuple(float(x) for x in payoffs)
         except (TypeError, ValueError):
             raise ScenarioError(f"act {label!r}: payoffs must be numbers, got {payoffs!r}") from None
+        acts.append(Act(label, payoffs))
 
     raw_constraints = _require(document, "constraints", list, f"scenario {name!r}")
     constraints = []
@@ -525,15 +538,17 @@ def load_scenario(document: Union[str, Mapping]) -> Scenario:
 def load_scenario_file(path) -> Scenario:
     """Read and parse a scenario JSON file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return load_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioError(f"scenario file {str(path)!r} is not UTF-8 text: {exc}") from None
+    return load_scenario(text)
 
 
 def resolve_scenario(name_or_path: str) -> Scenario:
     """Interpret a CLI-style scenario argument as a builtin name or a file path."""
     if name_or_path in _BUILDERS:
         return builtin(name_or_path)
-    import os
-
     if os.path.exists(name_or_path):
         return load_scenario_file(name_or_path)
     raise ScenarioError(

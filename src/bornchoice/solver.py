@@ -95,6 +95,12 @@ class SolveTarget:
         }
 
 
+def check_tolerance(tol: float) -> None:
+    """Raise ScenarioError unless a residual tolerance is finite and positive."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ScenarioError(f"residual_tolerance must be finite and positive, got {tol}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Restart cap, seed, and convergence thresholds; fixed config gives identical output."""
@@ -109,8 +115,7 @@ class SolverConfig:
             raise ScenarioError(f"restarts must be >= 1, got {self.restarts}")
         if self.max_iterations < 1:
             raise ScenarioError(f"max_iterations must be >= 1, got {self.max_iterations}")
-        if self.residual_tolerance <= 0:
-            raise ScenarioError(f"residual_tolerance must be positive, got {self.residual_tolerance}")
+        check_tolerance(self.residual_tolerance)
 
 
 @dataclass(frozen=True)

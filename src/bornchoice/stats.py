@@ -379,7 +379,7 @@ def load_counts_csv(path: Union[str, Path]) -> list[tuple[Optional[str], Experim
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"cannot read counts file {path}: {exc}") from exc
     reader = csv.DictReader(text.splitlines())
     header = reader.fieldnames or []

@@ -102,6 +102,16 @@ def test_verify_paper_csv_format(capsys):
     assert all(row["passed"] == "True" for row in rows)
 
 
+@pytest.mark.parametrize("name", ["ellsberg3", "machina5051", "reflection_lower", "reflection_upper"])
+def test_verify_paper_checks_are_the_solution_verify_lines(capsys, name):
+    code, out, _ = run(capsys, ["verify-paper", "--scenario", name, "--format", "json", "--full-precision"])
+    assert code == 0
+    [entry] = json.loads(out)["scenarios"]
+    report = solver.paper_solutions(name).verify()
+    assert entry["checks"] == [line.to_dict() for line in report.checks]
+    assert entry["passed"] is report.passed
+
+
 # -- solve -------------------------------------------------------------------
 
 def test_solve_converges(capsys):
@@ -368,6 +378,69 @@ def test_human_and_json_agree_to_six_digits(capsys):
         report["cross_test"]["mcnemar_exact"],
     ):
         assert f"{value:.6g}" in human
+
+
+def _scenario_with_payoff(tmp_path, literal):
+    # json accepts the NaN and Infinity literals, so a scenario file can hold them
+    text = builtin("ellsberg3").serialize().replace("100.0", literal, 1)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    return str(path)
+
+
+def _not_utf8(tmp_path):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe{")
+    return str(path)
+
+
+def _malformed(tmp_path):
+    path = tmp_path / "broken.json"
+    path.write_text("{not json")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["solve", "--d1", "0.5", "--d2", "0.5"], ["feasibility", "f1>f2,f4>f3"]])
+@pytest.mark.parametrize("make_file", [
+    pytest.param(lambda tmp: _scenario_with_payoff(tmp, "NaN"), id="nan-payoff"),
+    pytest.param(lambda tmp: _scenario_with_payoff(tmp, "Infinity"), id="infinite-payoff"),
+    pytest.param(_not_utf8, id="not-utf8"),
+    # malformed files and directories were already data errors; the resolver keeps them so
+    pytest.param(_malformed, id="malformed"),
+    pytest.param(lambda tmp: str(tmp), id="directory"),
+])
+def test_scenario_file_data_errors_exit_65(capsys, tmp_path, command, make_file):
+    code, out, err = run(capsys, command + ["--scenario", make_file(tmp_path)])
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and "error" in err
+
+
+def test_analyze_counts_file_not_utf8_is_data_error(capsys, tmp_path):
+    code, out, err = run(capsys, ["analyze", "--counts", _not_utf8(tmp_path)])
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and "cannot read" in err
+
+
+@pytest.mark.parametrize("argv", [
+    # an unknown scenario name was already a usage error; the resolver keeps it one
+    ["solve", "--scenario", "nonesuch"],
+    ["feasibility", "f1>f2,f4>f3", "--scenario", "nonesuch"],
+    ["analyze", "--cells", "125,38,6,31", "--scenario", "nonesuch"],
+    ["solve", "--scenario", "ellsberg3", "--d1", "20", "--tol", "inf"],
+    ["solve", "--scenario", "ellsberg3", "--tol", "nan"],
+    ["verify-paper", "--tol", "-1"],
+    ["verify-paper", "--tol", "nan"],
+    ["verify-paper", "--tol", "inf"],
+    ["solve", "--scenario", "ellsberg3", "--utility", "power:inf"],
+    ["feasibility", "f1>f2,f4>f3", "--scenario", "ellsberg3", "--utility", "power:inf"],
+], ids=lambda argv: " ".join(argv))
+def test_bad_arguments_exit_64_with_one_line(capsys, argv):
+    code, out, err = run(capsys, argv)
+    assert code == 64
+    assert out == ""
+    assert err.count("\n") == 1 and "error" in err
 
 
 def test_usage_errors_exit_64(capsys):

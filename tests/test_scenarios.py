@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from importlib import resources
 
@@ -54,6 +55,26 @@ def test_utility_values_and_domains():
         UtilityFunction.power(-1.0)
     with pytest.raises(ScenarioError, match="unknown utility kind"):
         UtilityFunction("log")
+
+
+def test_utility_parameters_must_be_finite():
+    with pytest.raises(ScenarioError, match="finite alpha > 0"):
+        UtilityFunction.power(math.inf)
+    with pytest.raises(ScenarioError, match="finite alpha > 0"):
+        UtilityFunction.parse("power:inf")
+    # a NaN entry would slip past the pairwise increasing check
+    with pytest.raises(ScenarioError, match="finite payoffs and values"):
+        UtilityFunction.from_table({0: 0.0, 100: math.nan})
+
+
+@pytest.mark.parametrize("payoff", [math.nan, math.inf, -math.inf])
+def test_act_rejects_non_finite_payoffs(payoff):
+    with pytest.raises(ScenarioError, match="payoffs must be finite"):
+        Act("f1", (0, payoff, 1))
+    doc = builtin("ellsberg3").to_document()
+    doc["acts"][0]["payoffs"][1] = payoff
+    with pytest.raises(ScenarioError, match="payoffs must be finite"):
+        load_scenario(json.dumps(doc))
 
 
 def test_table_utility():

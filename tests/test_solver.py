@@ -103,6 +103,12 @@ def test_solver_config_validation():
         SolverConfig(residual_tolerance=0.0)
 
 
+@pytest.mark.parametrize("tol", [math.inf, math.nan])
+def test_solver_config_rejects_non_finite_tolerance(tol):
+    with pytest.raises(ScenarioError, match="residual_tolerance must be finite and positive"):
+        SolverConfig(residual_tolerance=tol)
+
+
 # -- published-solution registry -------------------------------------------
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
