@@ -98,7 +98,7 @@ def build_parser() -> _Parser:
     p.add_argument("--utility", default="sqrt", help="utility function: sqrt, linear, or power:ALPHA")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--restarts", type=int, default=64, metavar="N",
-                   help="at most N random restarts; stops at the first with cost <= 1e-12 (default 64)")
+                   help="at most N random restarts; stops at the first that converges (default 64)")
     p.add_argument("--tol", type=float, default=1e-8, help="residual tolerance (default 1e-8)")
 
     p = sub.add_parser("feasibility", parents=[output],

@@ -7,8 +7,10 @@ the targets: the belief-state pairs that represent an observed joint
 preference pattern. Group constraints and unit norm are built into the
 parameterization (within-group hyperspherical splits plus free phases),
 so the search is unconstrained least squares over the remaining
-coordinates. A registry of known solution vectors supports regression
-verification without any search.
+coordinates, solved by a small Levenberg–Marquardt loop in numpy: the
+system has at most four residuals, so each iteration solves one 4×4 (or
+2×2) linear system. A registry of known solution vectors supports
+regression verification without any search.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .scenarios import (
 )
 
 METHOD_DESCRIPTION = (
-    "least squares (scipy trf) with analytic Jacobian over within-group "
+    "least squares (Levenberg-Marquardt) with analytic Jacobian over within-group "
     "hyperspherical moduli and free phases (first event's phase gauge-fixed to 0)"
 )
 
@@ -103,7 +105,11 @@ def check_tolerance(tol: float) -> None:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Restart cap, seed, and convergence thresholds; fixed config gives identical output."""
+    """Restart cap, seed, and convergence thresholds; fixed config gives identical output.
+
+    ``max_iterations`` caps the residual evaluations of each restart,
+    the starting point's included.
+    """
 
     restarts: int = 64
     seed: int = 0
@@ -123,9 +129,9 @@ class SolveResult:
     """Best state pair found, its per-equation residuals, and search metadata.
 
     ``restarts_used`` is the number of restarts actually run: at most
-    ``SolverConfig.restarts``, fewer when a restart reached cost <= 1e-12
-    and the search stopped there. ``best_restart`` is the 0-based index
-    of the winning restart.
+    ``SolverConfig.restarts``, fewer when a restart converged and the
+    search stopped there. ``best_restart`` is the 0-based index of the
+    winning restart: the converged one, or else the lowest-cost one.
     """
 
     scenario_name: str
@@ -279,11 +285,63 @@ class ResidualSystem:
         return out[0], out[1]
 
 
-def least_squares(*args, **kwargs):
-    """``scipy.optimize.least_squares``, imported on first use so that only solving loads scipy."""
-    import scipy.optimize
+# Levenberg–Marquardt damping: lambda = mu * trace(J J^T) / m, with mu
+# starting at MU_START, divided by MU_SHRINK after an accepted step and
+# multiplied by MU_GROW after a rejected one. MU_FLOOR keeps J J^T + lambda I
+# well conditioned where J J^T is singular (more residuals than parameters);
+# a restart stops once mu passes MU_CEILING or a step is below round-off
+# relative to x.
+MU_START = 1e-3
+MU_SHRINK = 3.0
+MU_GROW = 4.0
+MU_FLOOR = 1e-12
+MU_CEILING = 1e16
+STEP_RTOL = float(np.finfo(float).eps)
 
-    return scipy.optimize.least_squares(*args, **kwargs)
+
+@dataclass(frozen=True)
+class Fit:
+    """End point of one restart: the parameters and their residuals."""
+
+    x: np.ndarray
+    fun: np.ndarray
+
+
+def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> Fit:
+    """Levenberg–Marquardt from ``x0`` with at most ``max_nfev`` evaluations of ``fun``.
+
+    Each iteration solves the m×m system (J Jᵀ + λ I) y = r for the m
+    residuals and steps by δ = −Jᵀ y, which is the damped Gauss–Newton
+    step whether m is below or above the parameter count. A trial point
+    is accepted only when its residuals are finite and its cost falls;
+    a non-finite trial is a rejected step.
+    """
+    x = np.array(x0, dtype=float)
+    r = fun(x)
+    nfev = 1
+    cost = float(r @ r)
+    J = jac(x)
+    mu = MU_START
+    while nfev < max_nfev and mu <= MU_CEILING:
+        gram = J @ J.T
+        scale = float(np.trace(gram)) / len(r)
+        if not (math.isfinite(scale) and scale > 0):
+            break
+        gram[np.diag_indices_from(gram)] += mu * scale
+        step = -J.T @ np.linalg.solve(gram, r)
+        if not float(np.linalg.norm(step)) > STEP_RTOL * (STEP_RTOL + float(np.linalg.norm(x))):
+            break
+        trial = x + step
+        r_trial = fun(trial)
+        nfev += 1
+        cost_trial = float(r_trial @ r_trial)
+        if math.isfinite(cost_trial) and cost_trial < cost:
+            x, r, cost = trial, r_trial, cost_trial
+            J = jac(x)
+            mu = max(mu / MU_SHRINK, MU_FLOOR)
+        else:
+            mu *= MU_GROW
+    return Fit(x=x, fun=r)
 
 
 def _gap_vectors(
@@ -338,53 +396,41 @@ def solve(
     u: UtilityFunction = DEFAULT_UTILITY,
     config: SolverConfig = SolverConfig(),
 ) -> SolveResult:
-    """Find a state pair meeting the targets; best of seeded random restarts.
+    """Find a state pair meeting the targets; seeded random restarts in order.
 
-    Restarts run in order. The lowest sum of squared residuals
-    wins, with ties (within 1e-12) broken by the earliest restart, so
-    the outcome is deterministic for a fixed seed. A later restart
-    replaces the best only when its cost is below ``best_cost - 1e-12``.
-    Once ``best_cost <= 1e-12`` that bound is at most 0, which no sum of
-    squares is below, so the search stops there: the result is
-    bit-identical to running all ``config.restarts``, and
-    ``restarts_used`` counts the restarts actually run. Non-convergence
-    is reported in the result, not raised: the best residuals found are
-    always returned.
+    Each restart runs ``least_squares`` (Levenberg–Marquardt) for at most
+    ``config.max_iterations`` residual evaluations. The search stops at
+    the first restart whose named residuals pass the convergence test at
+    ``config.residual_tolerance``, the same test that sets
+    ``SolveResult.converged``. If none passes, the lowest sum of squared
+    residuals wins, with ties broken by the earliest restart. Either way
+    the outcome is deterministic for a fixed seed, and ``restarts_used``
+    counts the restarts actually run. Non-convergence is reported in the
+    result, not raised: the best residuals found are always returned.
     """
     system = ResidualSystem(scenario, target, u)
     rng = np.random.default_rng(config.seed)
     starts = system.initial_points(rng, config.restarts)
-    best_x: Optional[np.ndarray] = None
-    best_cost = math.inf
-    best_index = -1
+    best = None
     for index in range(config.restarts):
-        fit = least_squares(
-            system.residuals,
-            starts[index],
-            jac=system.jacobian,
-            method="trf",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            max_nfev=config.max_iterations,
-        )
+        fit = least_squares(system.residuals, starts[index], system.jacobian, config.max_iterations)
         cost = float(np.sum(fit.fun**2))
-        if cost < best_cost - 1e-12:
-            best_cost = cost
-            best_x = fit.x
-            best_index = index
-        if best_cost <= 1e-12:
+        w1, w2 = system.states(fit.x)
+        residuals = _named_residuals(scenario, w1, w2, target, system.delta_1, system.delta_2)
+        converged = _converged(residuals, target, config.residual_tolerance)
+        if best is None or cost < best[0] or converged:
+            best = (cost, index, w1, w2, residuals, converged)
+        if converged:
             break
-    w1, w2 = system.states(best_x)
-    residuals = _named_residuals(scenario, w1, w2, target, system.delta_1, system.delta_2)
+    cost, best_index, w1, w2, residuals, converged = best
     return SolveResult(
         scenario_name=scenario.name,
         target=target,
         w1=w1,
         w2=w2,
         residuals=residuals,
-        converged=_converged(residuals, target, config.residual_tolerance),
-        cost=best_cost,
+        converged=converged,
+        cost=cost,
         restarts_used=index + 1,
         best_restart=best_index,
     )

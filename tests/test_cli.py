@@ -457,9 +457,8 @@ def test_version_flag(capsys):
     assert "bornchoice" in capsys.readouterr().out
 
 
-def test_only_solve_imports_scipy():
-    # scipy is imported on the first least-squares call, so a fresh
-    # interpreter shows which commands load it
+def test_no_command_imports_scipy():
+    # a fresh interpreter shows whether any command loads scipy
     script = (
         "import contextlib, io, json, sys\n"
         "from bornchoice.cli import main\n"
@@ -478,5 +477,5 @@ def test_only_solve_imports_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {
-        "import": False, "verify-paper": False, "analyze": False, "feasibility": False, "solve": True,
+        "import": False, "verify-paper": False, "analyze": False, "feasibility": False, "solve": False,
     }
