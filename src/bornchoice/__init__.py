@@ -7,135 +7,62 @@ with exact feasibility analysis of joint preference patterns, belief
 states whose squared amplitudes are the subjective probabilities, a
 least-squares solver for orthogonal state pairs hitting target utility
 gaps, and the statistics of a paired-choice experiment.
+
+Each public name loads its submodule on first access, so ``import
+bornchoice`` loads no submodule and no numpy. ``classical``, ``stats`` and
+``scenarios`` run on the standard library (``utility_values`` and
+``act_operator`` load numpy when called); ``hilbert``, ``quantum`` and
+``solver`` load numpy.
 """
 
 from __future__ import annotations
 
+import importlib
+
 __version__ = "0.1.0"
 
-from .classical import (
-    CertificateError,
-    ClassicalProbability,
-    FeasibilityResult,
-    PatternError,
-    PreferencePattern,
-    biconditional_check,
-    expected_utility,
-    feasibility,
-)
-from .hilbert import (
-    HermitianOp,
-    HilbertError,
-    Ket,
-    Projector,
-    SpectralFamily,
-    ValidationReport,
-    born_probability,
-    collapse,
-    expectation,
-    inner_product,
-)
-from .quantum import (
-    QuantumState,
-    expected_ball_counts,
-    initial_state,
-    overlap,
-    preference,
-    state_from_polar,
-    subjective_probabilities,
-)
-from .scenarios import (
-    BUILTIN_NAMES,
-    DEFAULT_UTILITY,
-    Act,
-    ExperimentCounts,
-    Scenario,
-    ScenarioError,
-    UtilityFunction,
-    act_operator,
-    builtin,
-    load_scenario,
-    load_scenario_file,
-    resolve_scenario,
-    utility_values,
-)
-from .solver import (
-    PaperSolution,
-    ResidualSystem,
-    SolveResult,
-    SolveTarget,
-    SolverConfig,
-    explore_solution_family,
-    paper_solutions,
-    solve,
-    verify,
-)
-from .stats import (
-    StatsReport,
-    analyze,
-    binomial_z_test,
-    exact_binomial_test,
-    inversion_rate,
-    load_counts_csv,
-    mcnemar_tests,
-    preference_weights,
-)
+# submodule -> the public names it defines
+_EXPORTS = {
+    "classical": (
+        "CertificateError", "ClassicalProbability", "FeasibilityResult", "PatternError",
+        "PreferencePattern", "biconditional_check", "expected_utility", "feasibility",
+    ),
+    "hilbert": (
+        "HermitianOp", "HilbertError", "Ket", "Projector", "SpectralFamily", "ValidationReport",
+        "born_probability", "collapse", "expectation", "inner_product",
+    ),
+    "quantum": (
+        "QuantumState", "expected_ball_counts", "initial_state", "overlap", "preference",
+        "state_from_polar", "subjective_probabilities",
+    ),
+    "scenarios": (
+        "BUILTIN_NAMES", "DEFAULT_UTILITY", "Act", "ExperimentCounts", "Scenario", "ScenarioError",
+        "UtilityFunction", "act_operator", "builtin", "load_scenario", "load_scenario_file",
+        "resolve_scenario", "utility_values",
+    ),
+    "solver": (
+        "PaperSolution", "ResidualSystem", "SolveResult", "SolveTarget", "SolverConfig",
+        "explore_solution_family", "paper_solutions", "solve", "verify",
+    ),
+    "stats": (
+        "StatsReport", "analyze", "binomial_z_test", "exact_binomial_test", "inversion_rate",
+        "load_counts_csv", "mcnemar_tests", "preference_weights",
+    ),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "Act",
-    "BUILTIN_NAMES",
-    "CertificateError",
-    "ClassicalProbability",
-    "DEFAULT_UTILITY",
-    "ExperimentCounts",
-    "FeasibilityResult",
-    "HermitianOp",
-    "HilbertError",
-    "Ket",
-    "PaperSolution",
-    "PatternError",
-    "PreferencePattern",
-    "Projector",
-    "QuantumState",
-    "ResidualSystem",
-    "Scenario",
-    "ScenarioError",
-    "SolveResult",
-    "SolveTarget",
-    "SolverConfig",
-    "SpectralFamily",
-    "StatsReport",
-    "UtilityFunction",
-    "ValidationReport",
-    "act_operator",
-    "analyze",
-    "biconditional_check",
-    "binomial_z_test",
-    "born_probability",
-    "builtin",
-    "collapse",
-    "exact_binomial_test",
-    "expectation",
-    "expected_ball_counts",
-    "expected_utility",
-    "explore_solution_family",
-    "feasibility",
-    "initial_state",
-    "inner_product",
-    "inversion_rate",
-    "load_counts_csv",
-    "load_scenario",
-    "load_scenario_file",
-    "mcnemar_tests",
-    "overlap",
-    "paper_solutions",
-    "preference",
-    "preference_weights",
-    "resolve_scenario",
-    "solve",
-    "state_from_polar",
-    "subjective_probabilities",
-    "utility_values",
-    "verify",
-]
+__all__ = ["__version__", *sorted(_ORIGIN)]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

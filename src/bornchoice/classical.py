@@ -16,9 +16,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
 from .scenarios import (
     DEFAULT_UTILITY,
@@ -26,8 +24,11 @@ from .scenarios import (
     Scenario,
     ScenarioError,
     UtilityFunction,
-    utility_values,
+    act_utilities,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 FIRST_STRICT = "first-strict"
 SECOND_STRICT = "second-strict"
@@ -84,6 +85,8 @@ class ClassicalProbability:
         object.__setattr__(self, "probs", probs)
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.probs, dtype=float)
 
     def to_dict(self) -> dict:
@@ -174,8 +177,9 @@ class FeasibilityResult:
     get (w, 1 - w); otherwise a strict pair gets 1, the first of two
     indifferences +1 or -1 (its upper or lower bound misses zero), the last
     indifference a real weight, or +1 or -1 alone when it holds nowhere.
-    ``margin`` is the least strict margin at the witness, else the largest
-    joint one, or None (no strict entry, or an indifference holds nowhere).
+    ``margin`` is the least strict margin at the reported float witness,
+    summed exactly and rounded once, else the largest joint one, or None
+    (no strict entry, or an indifference holds nowhere).
     ``certificate`` explains the verdict by sign analysis of the affine
     difference functionals. ``u_independent`` records whether every
     functional's sign structure involves a single payoff swap, in which
@@ -221,15 +225,19 @@ class FeasibilityResult:
 def expected_utility(
     p: ClassicalProbability, act: Union[Act, str, int], u: UtilityFunction = DEFAULT_UTILITY
 ) -> float:
-    """Expected utility sum_i p_i u(x_i) of an act under probability p."""
-    values = utility_values(p.scenario, act, u)
-    return float(np.dot(p.as_array(), values))
+    """Expected utility sum_i p_i u(x_i) of an act under probability p, exact and then rounded once."""
+    return float(_exact_dot(act_utilities(p.scenario, act, u), p.probs))
+
+
+def _exact_dot(a: Sequence, b: Sequence) -> Fraction:
+    """sum_i a_i b_i in rational arithmetic, for floats or fractions."""
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
 def _difference_coefficients(
     scenario: Scenario, first: Union[Act, str, int], second: Union[Act, str, int], u: UtilityFunction
-) -> np.ndarray:
-    return utility_values(scenario, first, u) - utility_values(scenario, second, u)
+) -> tuple[float, ...]:
+    return tuple(x - y for x, y in zip(act_utilities(scenario, first, u), act_utilities(scenario, second, u)))
 
 
 def _is_single_swap(scenario: Scenario, first: Union[Act, str, int], second: Union[Act, str, int]) -> bool:
@@ -240,7 +248,7 @@ def _is_single_swap(scenario: Scenario, first: Union[Act, str, int], second: Uni
     return len(pairs) <= 1
 
 
-def _reduce(scenario: Scenario, coeffs: np.ndarray) -> np.ndarray:
+def _reduce(scenario: Scenario, coeffs: Sequence[float]) -> tuple[float, ...]:
     """Restrict a linear form c . p to the polytope's free coordinates: (coefficients..., constant).
 
     Each group's last event is determined by the others and the group total.
@@ -250,11 +258,21 @@ def _reduce(scenario: Scenario, coeffs: np.ndarray) -> np.ndarray:
     for indices, total in scenario.groups():
         determined = indices[-1]
         const += coeffs[determined] * float(total)
-        reduced += [float(coeffs[i] - coeffs[determined]) for i in indices[:-1]]
-    return np.array(reduced + [const], dtype=float)
+        reduced += [coeffs[i] - coeffs[determined] for i in indices[:-1]]
+    return (*reduced, const)
 
 
-def _describe_functional(scenario: Scenario, coeffs: np.ndarray, la: str, lb: str) -> str:
+def _factor(v: Sequence[float], w: Sequence[float], tol: float) -> Optional[float]:
+    """The l, taken at v's largest entry, with max_i |w_i - l v_i| <= tol * max(1, |l|), or None.
+
+    v must have an entry other than zero.
+    """
+    k = max(range(len(v)), key=lambda i: abs(v[i]))
+    lam = w[k] / v[k]
+    return lam if max(abs(y - lam * x) for x, y in zip(v, w)) <= tol * max(1.0, abs(lam)) else None
+
+
+def _describe_functional(scenario: Scenario, coeffs: Sequence[float], la: str, lb: str) -> str:
     terms = []
     for label, c in zip(scenario.events, coeffs):
         if abs(c) > 1e-12:
@@ -279,22 +297,18 @@ def biconditional_check(
     cb = _difference_coefficients(scenario, pair_b[0], pair_b[1], u)
     va = _reduce(scenario, ca)
     vb = _reduce(scenario, cb)
-    scale = max(1.0, float(np.max(np.abs(va))), float(np.max(np.abs(vb))))
-    tol = 1e-12 * scale
-    a_zero = bool(np.all(np.abs(va) <= tol))
-    b_zero = bool(np.all(np.abs(vb) <= tol))
+    tol = 1e-12 * max(1.0, *map(abs, va), *map(abs, vb))
+    a_zero = all(abs(x) <= tol for x in va)
+    b_zero = all(abs(x) <= tol for x in vb)
     if a_zero or b_zero:
         return a_zero and b_zero
-    j = int(np.argmax(np.abs(va)))
-    lam = vb[j] / va[j]
-    if lam <= 0:
-        return False
-    return bool(np.max(np.abs(vb - lam * va)) <= tol * max(1.0, abs(lam)))
+    lam = _factor(va, vb, tol)
+    return lam is not None and lam > 0
 
 
 def _signed_conditions(
     scenario: Scenario, pattern: PreferencePattern, u: UtilityFunction
-) -> list[tuple[str, np.ndarray, str]]:
+) -> list[tuple[str, tuple[float, ...], str]]:
     """One (kind, oriented coefficients, description) triple per question pair.
 
     Strict entries are oriented so the condition reads "coefficients . p > 0";
@@ -313,7 +327,7 @@ def _signed_conditions(
         if rel == FIRST_STRICT:
             out.append(("strict", coeffs, f"{desc}; require W({la}) > W({lb})"))
         elif rel == SECOND_STRICT:
-            out.append(("strict", -coeffs, f"{desc}; require W({la}) < W({lb})"))
+            out.append(("strict", tuple(-x for x in coeffs), f"{desc}; require W({la}) < W({lb})"))
         else:
             out.append(("equal", coeffs, f"{desc}; require W({la}) = W({lb})"))
     return out
@@ -358,7 +372,7 @@ def _line_minimum(groups, a, b, ends: Optional[tuple[Fraction, Fraction]] = None
 def _decide(scenario: Scenario, conditions):
     """(rational witness, None, None), or (None, multipliers, margin) as in ``FeasibilityResult``."""
     groups = scenario.groups()
-    c = [[Fraction(float(x)) for x in coeffs] for _, coeffs, _ in conditions]
+    c = [[Fraction(x) for x in coeffs] for _, coeffs, _ in conditions]
     strict = [k for k, (kind, _, _) in enumerate(conditions) if kind == "strict"]
     equal = [k for k, (kind, _, _) in enumerate(conditions) if kind == "equal"]
     if len(strict) == 2:
@@ -396,7 +410,7 @@ def _exact_witness(scenario: Scenario, conditions, point: Sequence[Fraction]) ->
     """Whether a rational point is on the polytope, strict margins >= STRICT_MARGIN, indifferences exactly 0."""
     if any(x < 0 for x in point) or any(sum(point[i] for i in idx) != t for idx, t in scenario.groups()):
         return False
-    values = [(kind, sum(Fraction(float(c)) * x for c, x in zip(coeffs, point))) for kind, coeffs, _ in conditions]
+    values = [(kind, _exact_dot(coeffs, point)) for kind, coeffs, _ in conditions]
     return all(v >= STRICT_MARGIN if kind == "strict" else v == 0 for kind, v in values)
 
 
@@ -419,7 +433,7 @@ def _certifies(scenario: Scenario, conditions, weights: Sequence[Fraction]) -> b
                 return False
             strict_total += w
         for i, c in enumerate(coeffs):
-            g[i] += w * Fraction(float(c))
+            g[i] += w * Fraction(c)
     return _support(scenario.groups(), g) < Fraction(STRICT_MARGIN) * strict_total
 
 
@@ -430,14 +444,11 @@ def _infeasibility_certificate(scenario: Scenario, conditions, margin: Optional[
     for i in range(len(reduced)):
         for j in range(i + 1, len(reduced)):
             vi, vj = reduced[i][1], reduced[j][1]
-            scale = max(1.0, float(np.max(np.abs(vi))))
-            if np.max(np.abs(vi)) <= 1e-12 * scale:
+            scale = max(1.0, *map(abs, vi))
+            if max(map(abs, vi)) <= 1e-12 * scale:
                 continue
-            k = int(np.argmax(np.abs(vi)))
-            if abs(vi[k]) <= 1e-12:
-                continue
-            lam = vj[k] / vi[k]
-            if np.max(np.abs(vj - lam * vi)) <= 1e-9 * scale * max(1.0, abs(lam)):
+            lam = _factor(vi, vj, 1e-9 * scale)
+            if lam is not None:
                 if reduced[i][0] == "strict" and reduced[j][0] == "strict" and lam < 0:
                     lines.append(
                         "on the admissible set, condition "
@@ -482,13 +493,13 @@ def feasibility(
         )
     witness = ClassicalProbability(scenario, tuple(float(v) for v in point)) if feasible else None
     if feasible:
-        certificate = "\n".join(desc for _, _, desc in conditions)
-        # as recomputed from the reported witness
-        strict_values = [float(np.dot(c, witness.as_array())) for kind, c, _ in conditions if kind == "strict"]
-        margin = min(strict_values, default=None)
-    else:
-        margin = None if margin is None else float(margin)
-        certificate = _infeasibility_certificate(scenario, conditions, margin)
+        # exact on the reported witness, then rounded once
+        margin = min((_exact_dot(c, witness.probs) for kind, c, _ in conditions if kind == "strict"), default=None)
+    margin = None if margin is None else float(margin)
+    certificate = (
+        "\n".join(desc for _, _, desc in conditions) if feasible
+        else _infeasibility_certificate(scenario, conditions, margin)
+    )
     if u_independent:
         certificate += (
             "\neach functional's sign depends only on the order of one payoff pair, "

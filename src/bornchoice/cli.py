@@ -10,6 +10,9 @@ Exit codes: 0 success, 1 verification failure, 2 solver non-convergence,
 64 usage error, 65 data error, 70 internal error (a feasibility verdict
 that could not be proven). Output is written once, at the end, to stdout
 or to --out.
+
+Only verify-paper and solve load numpy, through the solver module;
+feasibility and analyze run on the standard library.
 """
 
 from __future__ import annotations
@@ -22,11 +25,10 @@ import math
 import sys
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import __version__, classical, solver, stats
+from . import __version__, classical, stats
 from .classical import CertificateError, PatternError
-from .quantum import QuantumState
 from .scenarios import (
     BUILTIN_NAMES,
     DEFAULT_UTILITY,
@@ -37,6 +39,9 @@ from .scenarios import (
     builtin,
     resolve_scenario,
 )
+
+if TYPE_CHECKING:
+    from .quantum import QuantumState
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -179,6 +184,8 @@ def _state_lines(label: str, state: QuantumState) -> list[str]:
 
 
 def _cmd_verify_paper(args) -> int:
+    from . import solver
+
     u = _utility(args.utility)
     try:
         solver.check_tolerance(args.tol)
@@ -234,6 +241,8 @@ def _cmd_verify_paper(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from . import solver
+
     scenario = _scenario(args.scenario)
     u = _utility(args.utility)
     try:

@@ -20,11 +20,12 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
-from .hilbert import HermitianOp
+    from .hilbert import HermitianOp
 
 
 class ScenarioError(ValueError):
@@ -114,7 +115,10 @@ class UtilityFunction:
         if self.kind == "power":
             if x < 0:
                 raise ScenarioError(f"power utility is undefined at payoff {x}")
-            return x ** self.alpha
+            try:
+                return x ** self.alpha
+            except OverflowError:
+                raise ScenarioError(f"power utility overflows at payoff {x}") from None
         if self.kind in ("linear", "identity"):
             return x
         for px, u in self.table:
@@ -290,6 +294,8 @@ class Scenario:
         return tuple(sorted(items, key=lambda it: it[0][0]))
 
     def payoff_matrix(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([a.payoffs for a in self.acts], dtype=float)
 
     def to_document(self) -> dict:
@@ -556,7 +562,7 @@ def resolve_scenario(name_or_path: str) -> Scenario:
     )
 
 
-def utility_values(scenario: Scenario, act: Union[Act, str, int], u: UtilityFunction) -> np.ndarray:
+def act_utilities(scenario: Scenario, act: Union[Act, str, int], u: UtilityFunction) -> tuple[float, ...]:
     """Per-event utilities u(x_i) for an act, after validating u on the scenario's payoffs."""
     if isinstance(act, Act):
         found = scenario.act(act.label)
@@ -567,7 +573,14 @@ def utility_values(scenario: Scenario, act: Union[Act, str, int], u: UtilityFunc
         act = scenario.act(act)
     all_payoffs = [x for a in scenario.acts for x in a.payoffs]
     u.check_increasing_on(all_payoffs)
-    return np.array([u(x) for x in act.payoffs], dtype=float)
+    return tuple(u(x) for x in act.payoffs)
+
+
+def utility_values(scenario: Scenario, act: Union[Act, str, int], u: UtilityFunction) -> np.ndarray:
+    """:func:`act_utilities` as a float array."""
+    import numpy as np
+
+    return np.array(act_utilities(scenario, act, u), dtype=float)
 
 
 def act_operator(scenario: Scenario, act: Union[Act, str, int], u: UtilityFunction = DEFAULT_UTILITY) -> HermitianOp:
@@ -577,8 +590,11 @@ def act_operator(scenario: Scenario, act: Union[Act, str, int], u: UtilityFuncti
     does not belong to the scenario or u is undefined or non-increasing
     on the scenario's payoffs.
     """
-    values = utility_values(scenario, act, u)
-    return HermitianOp(np.diag(values.astype(np.complex128)))
+    import numpy as np
+
+    from .hilbert import HermitianOp
+
+    return HermitianOp(np.diag(utility_values(scenario, act, u).astype(np.complex128)))
 
 
 @dataclass(frozen=True)

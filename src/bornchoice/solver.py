@@ -119,6 +119,8 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.restarts < 1:
             raise ScenarioError(f"restarts must be >= 1, got {self.restarts}")
+        if self.seed < 0:
+            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
         if self.max_iterations < 1:
             raise ScenarioError(f"max_iterations must be >= 1, got {self.max_iterations}")
         check_tolerance(self.residual_tolerance)

@@ -335,6 +335,32 @@ def test_feasible_witness_values():
     assert result.witness.probs == (0.5, 0.5)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("u", [SQRT, LINEAR], ids=["sqrt", "linear"])
+def test_feasible_margin_is_exact_on_the_reported_witness(name, u):
+    # the least strict W difference, each summed exactly over the reported
+    # float witness and the per-event float differences, rounded once
+    s = builtin(name)
+    for combo in product(RELATIONS, repeat=2):
+        result = feasibility(s, PreferencePattern(combo), u)
+        if not result.feasible:
+            continue
+        values = []
+        for (a, b), rel in zip(s.question_pairs, combo):
+            if rel == INDIFFERENT:
+                continue
+            sign = 1 if rel == FIRST_STRICT else -1
+            diffs = [u(x) - u(y) for x, y in zip(s.acts[a].payoffs, s.acts[b].payoffs)]
+            values.append(sum(sign * Fraction(d) * Fraction(p) for d, p in zip(diffs, result.witness.probs)))
+        assert result.margin == (float(min(values)) if values else None), combo
+
+
+def test_margin_differs_from_the_float_dot_product_by_one_ulp():
+    # the float dot product gave 33.333333333333336 here
+    result = feasibility(builtin("ellsberg3"), "f1<f2,f4>f3", LINEAR)
+    assert result.margin == 33.33333333333333
+
+
 def test_feasibility_rejects_wrong_arity():
     s = builtin("ellsberg3")
     with pytest.raises(PatternError, match="2 question pairs"):

@@ -434,6 +434,8 @@ def test_analyze_counts_file_not_utf8_is_data_error(capsys, tmp_path):
     ["verify-paper", "--tol", "nan"],
     ["verify-paper", "--tol", "inf"],
     ["solve", "--scenario", "ellsberg3", "--utility", "power:inf"],
+    ["solve", "--scenario", "ellsberg3", "--seed", "-1"],
+    ["solve", "--scenario", "ellsberg3", "--restarts", "0"],
     ["feasibility", "f1>f2,f4>f3", "--scenario", "ellsberg3", "--utility", "power:inf"],
 ], ids=lambda argv: " ".join(argv))
 def test_bad_arguments_exit_64_with_one_line(capsys, argv):
@@ -441,6 +443,19 @@ def test_bad_arguments_exit_64_with_one_line(capsys, argv):
     assert code == 64
     assert out == ""
     assert err.count("\n") == 1 and "error" in err
+
+
+@pytest.mark.parametrize("alpha", ["400", "1e308"])
+@pytest.mark.parametrize("command", [
+    ["feasibility", "f1>f2,f4>f3", "--scenario", "ellsberg3"],
+    ["solve", "--scenario", "ellsberg3"],
+    ["verify-paper"],
+], ids=lambda argv: argv[0])
+def test_power_utility_overflow_is_data_error(capsys, command, alpha):
+    code, out, err = run(capsys, command + ["--utility", f"power:{alpha}"])
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and "power utility overflows at payoff" in err
 
 
 def test_usage_errors_exit_64(capsys):
@@ -457,6 +472,38 @@ def test_version_flag(capsys):
     assert "bornchoice" in capsys.readouterr().out
 
 
+def _fresh_interpreter(script: str):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_only_solve_and_verify_paper_import_numpy():
+    # in one fresh interpreter, the numpy-free commands first
+    loaded = _fresh_interpreter(
+        "import contextlib, io, json, sys\n"
+        "import bornchoice\n"
+        "loaded = {'import bornchoice': 'numpy' in sys.modules}\n"
+        "from bornchoice.cli import main\n"
+        "for argv in (['--version'], ['analyze'], ['feasibility', 'f1>f2,f4>f3', '--scenario', 'ellsberg3'],\n"
+        "             ['feasibility', 'f1=f2,f4=f3', '--scenario', 'ellsberg3'],\n"
+        "             ['solve', '--scenario', 'ellsberg3'], ['verify-paper']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
+        "        main(argv)\n"
+        "    loaded[' '.join(argv[:2])] = 'numpy' in sys.modules\n"
+        "print(json.dumps(loaded))\n"
+    )
+    assert loaded == {
+        "import bornchoice": False, "--version": False, "analyze": False,
+        "feasibility f1>f2,f4>f3": False, "feasibility f1=f2,f4=f3": False,
+        "solve --scenario": True, "verify-paper": True,
+    }
+
+
 def test_no_command_imports_scipy():
     # a fresh interpreter shows whether any command loads scipy
     script = (
@@ -470,12 +517,6 @@ def test_no_command_imports_scipy():
         "    loaded[argv[0]] = 'scipy' in sys.modules\n"
         "print(json.dumps(loaded))\n"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {
+    assert _fresh_interpreter(script) == {
         "import": False, "verify-paper": False, "analyze": False, "feasibility": False, "solve": False,
     }

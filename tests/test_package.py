@@ -1,0 +1,54 @@
+"""The package namespace: lazily resolved public names and submodules."""
+
+from __future__ import annotations
+
+import importlib
+
+import pytest
+
+from test_cli import _fresh_interpreter
+
+import bornchoice
+
+
+def test_every_public_name_is_the_submodule_object():
+    assert bornchoice.__all__[0] == "__version__"
+    for name in bornchoice.__all__[1:]:
+        module = importlib.import_module(f"bornchoice.{bornchoice._ORIGIN[name]}")
+        value = getattr(bornchoice, name)
+        assert value is getattr(module, name), name
+        if callable(value):
+            # defined there, not re-exported from another submodule
+            assert value.__module__ == module.__name__, name
+
+
+def test_dir_covers_all_and_the_submodules():
+    assert len(set(bornchoice.__all__)) == len(bornchoice.__all__)
+    listed = set(dir(bornchoice))
+    assert set(bornchoice.__all__) <= listed
+    assert {"classical", "hilbert", "quantum", "scenarios", "solver", "stats"} <= listed
+
+
+def test_star_import_binds_every_public_name():
+    namespace: dict = {}
+    exec("from bornchoice import *", namespace)
+    assert {name: namespace[name] for name in bornchoice.__all__} == {
+        name: getattr(bornchoice, name) for name in bornchoice.__all__
+    }
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="nonesuch"):
+        bornchoice.nonesuch  # noqa: B018
+
+
+def test_import_loads_no_submodule_until_asked():
+    loaded = _fresh_interpreter(
+        "import json, sys\n"
+        "import bornchoice\n"
+        "before = sorted(m for m in sys.modules if m.startswith('bornchoice.'))\n"
+        "solve = bornchoice.solver.solve\n"
+        "print(json.dumps({'before': before, 'solve': solve.__module__,\n"
+        "                  'solver': 'bornchoice.solver' in sys.modules}))\n"
+    )
+    assert loaded == {"before": [], "solve": "bornchoice.solver", "solver": True}

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from bornchoice.scenarios import (
+    act_utilities,
     Act,
     BUILTIN_NAMES,
     DEFAULT_UTILITY,
@@ -318,6 +319,20 @@ def test_utility_values_rejects_foreign_act():
     foreign = Act("f1", (1, 2, 3))
     with pytest.raises(ScenarioError, match="does not belong"):
         utility_values(s, foreign, DEFAULT_UTILITY)
+
+
+@pytest.mark.parametrize("alpha", [400.0, 1e308])
+def test_power_utility_overflow_is_a_scenario_error(alpha):
+    with pytest.raises(ScenarioError, match="power utility overflows at payoff 100.0"):
+        utility_values(builtin("ellsberg3"), "f1", UtilityFunction.power(alpha))
+
+
+def test_utility_values_wraps_act_utilities():
+    s = builtin("machina5051")
+    for act in s.acts:
+        values = act_utilities(s, act, DEFAULT_UTILITY)
+        assert isinstance(values, tuple)
+        assert np.array_equal(utility_values(s, act, DEFAULT_UTILITY), values)
 
 
 def test_utility_values_rejects_undefined_utility():

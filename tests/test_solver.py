@@ -96,6 +96,8 @@ def test_solve_target_validation():
 def test_solver_config_validation():
     with pytest.raises(ScenarioError, match="restarts"):
         SolverConfig(restarts=0)
+    with pytest.raises(ScenarioError, match="seed must be >= 0, got -1"):
+        SolverConfig(seed=-1)
     with pytest.raises(ScenarioError, match="max_iterations"):
         SolverConfig(max_iterations=0)
     with pytest.raises(ScenarioError, match="residual_tolerance"):
