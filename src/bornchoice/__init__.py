@@ -9,9 +9,11 @@ least-squares solver for orthogonal state pairs hitting target utility
 gaps, and the statistics of a paired-choice experiment.
 
 Each public name loads its submodule on first access, so ``import
-bornchoice`` loads no submodule and no numpy. ``classical``, ``stats`` and
-``scenarios`` run on the standard library (``utility_values`` and
-``act_operator`` load numpy when called); ``hilbert``, ``quantum`` and
+bornchoice`` loads no submodule and no numpy. ``classical``, ``stats``,
+``scenarios``, ``quantum``, ``report`` and ``verification`` run on the
+standard library (``utility_values``, ``act_operator``,
+``QuantumState.ket``, ``quantum.expected_utility`` and
+``quantum.preference`` load numpy when called); ``hilbert`` and
 ``solver`` load numpy.
 """
 
@@ -28,26 +30,25 @@ _EXPORTS = {
         "PreferencePattern", "biconditional_check", "expected_utility", "feasibility",
     ),
     "hilbert": (
-        "HermitianOp", "HilbertError", "Ket", "Projector", "SpectralFamily", "ValidationReport",
-        "born_probability", "collapse", "expectation", "inner_product",
+        "HermitianOp", "HilbertError", "Ket", "Projector", "SpectralFamily", "born_probability",
+        "collapse", "expectation", "inner_product",
     ),
     "quantum": (
         "QuantumState", "expected_ball_counts", "initial_state", "overlap", "preference",
         "state_from_polar", "subjective_probabilities",
     ),
+    "report": ("ValidationReport",),
     "scenarios": (
         "BUILTIN_NAMES", "DEFAULT_UTILITY", "Act", "ExperimentCounts", "Scenario", "ScenarioError",
         "UtilityFunction", "act_operator", "builtin", "load_scenario", "load_scenario_file",
         "resolve_scenario", "utility_values",
     ),
-    "solver": (
-        "PaperSolution", "ResidualSystem", "SolveResult", "SolveTarget", "SolverConfig",
-        "explore_solution_family", "paper_solutions", "solve", "verify",
-    ),
+    "solver": ("ResidualSystem", "SolveResult", "SolverConfig", "explore_solution_family", "solve"),
     "stats": (
         "StatsReport", "analyze", "binomial_z_test", "exact_binomial_test", "inversion_rate",
         "load_counts_csv", "mcnemar_tests", "preference_weights",
     ),
+    "verification": ("PaperSolution", "SolveTarget", "paper_solutions", "verify"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -11,7 +11,7 @@ Exit codes: 0 success, 1 verification failure, 2 solver non-convergence,
 that could not be proven). Output is written once, at the end, to stdout
 or to --out.
 
-Only verify-paper and solve load numpy, through the solver module;
+Only solve loads numpy, through the solver module; verify-paper,
 feasibility and analyze run on the standard library.
 """
 
@@ -184,11 +184,11 @@ def _state_lines(label: str, state: QuantumState) -> list[str]:
 
 
 def _cmd_verify_paper(args) -> int:
-    from . import solver
+    from . import verification
 
     u = _utility(args.utility)
     try:
-        solver.check_tolerance(args.tol)
+        verification.check_tolerance(args.tol)
     except ScenarioError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
     if args.scenario is not None:
@@ -204,7 +204,7 @@ def _cmd_verify_paper(args) -> int:
     all_passed = True
     for name in names:
         scenario = builtin(name)
-        solution = solver.paper_solutions(scenario)
+        solution = verification.paper_solutions(scenario)
         report = solution.verify(u=u, tol=args.tol)
         all_passed &= report.passed
         human_lines.append(f"scenario {name}: {'PASS' if report.passed else 'FAIL'}")

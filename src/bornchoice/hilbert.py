@@ -10,6 +10,10 @@ All values are immutable after construction and every operation is a
 pure function, so everything here is safe to share across threads.
 Construction enforces structural properties (hermiticity, idempotency)
 at tolerance 1e-12; validation reports use 1e-9.
+
+This is the numpy layer: importing it loads numpy. ``CheckLine`` and
+``ValidationReport`` are defined in :mod:`bornchoice.report`, which does
+not, and are re-exported here.
 """
 
 from __future__ import annotations
@@ -18,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
+
+from .report import CheckLine, ValidationReport
 
 Complex = complex
 
@@ -284,50 +290,6 @@ def collapse(proj: Projector, v: Ket) -> Ket:
     if nrm <= CONSTRUCTION_TOL:
         raise HilbertError("cannot collapse onto a zero-probability outcome (||M v|| = 0)")
     return Ket(image / nrm)
-
-
-@dataclass(frozen=True)
-class CheckLine:
-    """One named deviation with its tolerance verdict."""
-
-    name: str
-    deviation: float
-    tolerance: float
-
-    @property
-    def passed(self) -> bool:
-        return self.deviation <= self.tolerance
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "deviation": self.deviation, "tolerance": self.tolerance, "passed": self.passed}
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    """Outcome of a structural validation, one line per checked property."""
-
-    subject: str
-    checks: tuple[CheckLine, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def check(self, name: str) -> CheckLine:
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
-    def to_dict(self) -> dict:
-        return {"subject": self.subject, "passed": self.passed, "checks": [c.to_dict() for c in self.checks]}
-
-    def summary(self) -> str:
-        lines = [f"{self.subject}: {'pass' if self.passed else 'FAIL'}"]
-        for c in self.checks:
-            verdict = "pass" if c.passed else "FAIL"
-            lines.append(f"  {verdict}  {c.name}: max deviation {c.deviation:.3e} (tol {c.tolerance:.0e})")
-        return "\n".join(lines)
 
 
 def validate_spectral_family(family: SpectralFamily, tol: float = VALIDATION_TOL) -> ValidationReport:

@@ -8,6 +8,11 @@ this reproduces the classical value exactly; the point of the vector
 representation is that different questions may be evaluated in
 different states, which is where classically impossible preference
 patterns become representable.
+
+States, their probabilities and overlaps run on the standard library;
+``QuantumState.ket``, ``expected_utility`` and ``preference`` go through
+the operator API and load :mod:`bornchoice.hilbert`, and with it numpy,
+when called.
 """
 
 from __future__ import annotations
@@ -15,11 +20,8 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-import numpy as np
-
-from . import hilbert
 from .classical import ClassicalProbability
 from .scenarios import (
     DEFAULT_UTILITY,
@@ -29,6 +31,9 @@ from .scenarios import (
     UtilityFunction,
     act_operator,
 )
+
+if TYPE_CHECKING:
+    from .hilbert import Ket
 
 # polar inputs are snapped onto the constraint surface when they are
 # this close; printed 3-decimal vectors land well inside the band
@@ -82,7 +87,9 @@ class QuantumState:
     def phases_deg(self) -> tuple[float, ...]:
         return tuple(math.degrees(p) for p in self.phases)
 
-    def ket(self) -> hilbert.Ket:
+    def ket(self) -> Ket:
+        from . import hilbert
+
         amps = [m * cmath.exp(1j * p) for m, p in zip(self.moduli, self.phases)]
         return hilbert.ket(amps)
 
@@ -123,51 +130,51 @@ def state_from_polar(
     a turn).
     """
     n = scenario.n_events
-    mods = np.array([float(m) for m in moduli], dtype=float)
-    if mods.shape != (n,):
-        raise ScenarioError(f"expected {n} moduli, got {mods.size}")
+    mods = [float(m) for m in moduli]
+    if len(mods) != n:
+        raise ScenarioError(f"expected {n} moduli, got {len(mods)}")
     if phases_deg is None:
-        phs = np.zeros(n)
+        phs = [0.0] * n
     else:
-        phs = np.array([math.radians(float(d)) for d in phases_deg], dtype=float)
-        if phs.shape != (n,):
-            raise ScenarioError(f"expected {n} phases, got {phs.size}")
-    negative = mods < 0
-    mods = np.abs(mods)
-    phs = np.where(negative, phs + math.pi, phs)
+        phs = [math.radians(float(d)) for d in phases_deg]
+        if len(phs) != n:
+            raise ScenarioError(f"expected {n} phases, got {len(phs)}")
+    phs = [p + math.pi if m < 0 else p for m, p in zip(mods, phs)]
+    mods = [abs(m) for m in mods]
 
-    norm_sq = float(np.sum(mods**2))
+    norm_sq = sum(m * m for m in mods)
     if abs(norm_sq - 1.0) > snap_tol:
         raise ScenarioError(
             f"squared moduli sum to {norm_sq:.6g}; off from 1 by more than snap tolerance {snap_tol:g}"
         )
     for indices, total in scenario.groups():
-        idx = list(indices)
-        s = float(np.sum(mods[idx] ** 2))
+        s = sum(mods[i] * mods[i] for i in indices)
         t = float(total)
         if abs(s - t) > snap_tol:
-            labels = [scenario.events[i] for i in idx]
+            labels = [scenario.events[i] for i in indices]
             raise ScenarioError(
                 f"squared moduli of group {labels} sum to {s:.6g}, constraint requires {t:.6g}; "
                 f"gap exceeds snap tolerance {snap_tol:g}"
             )
         if s <= 0:
             raise ScenarioError(
-                f"group {[scenario.events[i] for i in idx]} has zero total amplitude; cannot rescale"
+                f"group {[scenario.events[i] for i in indices]} has zero total amplitude; cannot rescale"
             )
-        mods[idx] *= math.sqrt(t / s)
-    return QuantumState(scenario, tuple(mods.tolist()), tuple(phs.tolist()))
+        factor = math.sqrt(t / s)
+        for i in indices:
+            mods[i] *= factor
+    return QuantumState(scenario, tuple(mods), tuple(phs))
 
 
 def initial_state(scenario: Scenario) -> QuantumState:
     """Uninformed state: each group's probability spread evenly over its events, zero phases."""
     n = scenario.n_events
-    mods = np.zeros(n)
+    mods = [0.0] * n
     for indices, total in scenario.groups():
         share = float(total) / len(indices)
         for i in indices:
             mods[i] = math.sqrt(share)
-    return QuantumState(scenario, tuple(mods.tolist()), (0.0,) * n)
+    return QuantumState(scenario, tuple(mods), (0.0,) * n)
 
 
 def subjective_probabilities(state: QuantumState) -> ClassicalProbability:
@@ -185,6 +192,8 @@ def expected_utility(
     the scenario's payoffs). On the state's Born marginal this equals
     the classical probability-weighted sum of utilities.
     """
+    from . import hilbert
+
     return hilbert.expectation(act_operator(state.scenario, act, u), state.ket())
 
 
@@ -233,7 +242,10 @@ def expected_ball_counts(
 
 
 def overlap(a: QuantumState, b: QuantumState) -> complex:
-    """Inner product between two belief states over the same scenario."""
+    """Inner product <a|b> = sum of m_a m_b e^{i(phi_b - phi_a)} between two states over one scenario."""
     if a.scenario.name != b.scenario.name or a.scenario.events != b.scenario.events:
         raise ScenarioError("states belong to different scenarios")
-    return hilbert.inner_product(a.ket(), b.ket())
+    return sum(
+        (cmath.rect(ma * mb, pb - pa) for ma, pa, mb, pb in zip(a.moduli, a.phases, b.moduli, b.phases)),
+        0j,
+    )

@@ -9,99 +9,39 @@ parameterization (within-group hyperspherical splits plus free phases),
 so the search is unconstrained least squares over the remaining
 coordinates, solved by a small Levenberg–Marquardt loop in numpy: the
 system has at most four residuals, so each iteration solves one 4×4 (or
-2×2) linear system. A registry of known solution vectors supports
-regression verification without any search.
+2×2) linear system. Importing this module loads numpy. Targets, the
+residual check of a given pair and the registry of published pairs are
+in :mod:`bornchoice.verification`, which does not, and are re-exported
+here.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Union
 
 import numpy as np
 
-from . import hilbert
-from .quantum import QuantumState, state_from_polar
-from .scenarios import (
-    DEFAULT_UTILITY,
-    Scenario,
-    ScenarioError,
-    UtilityFunction,
-    builtin,
-    utility_values,
+from .quantum import QuantumState
+from .scenarios import DEFAULT_UTILITY, Scenario, ScenarioError, UtilityFunction
+
+# the check of a given pair lives in the numpy-free verification module;
+# its names stay importable from here
+from .verification import (  # noqa: F401
+    DEFAULT_TARGETS,
+    PaperSolution,
+    SolveTarget,
+    _gap_vectors,
+    _named_residuals,
+    check_tolerance,
+    paper_solutions,
+    verify,
 )
 
 METHOD_DESCRIPTION = (
     "least squares (Levenberg-Marquardt) with analytic Jacobian over within-group "
     "hyperspherical moduli and free phases (first event's phase gauge-fixed to 0)"
 )
-
-# default target gaps per built-in scenario, first and second question pair
-DEFAULT_TARGETS: dict[str, tuple[float, float]] = {
-    "ellsberg3": (0.815, 0.780),
-    "machina5051": (0.580, 0.630),
-    "reflection_lower": (0.575, 0.550),
-    "reflection_upper": (0.670, 0.520),
-}
-
-
-@dataclass(frozen=True)
-class SolveTarget:
-    """Two act pairs with target expectation differences, plus an orthogonality switch."""
-
-    pair_1: tuple[str, str]
-    d1: float
-    pair_2: tuple[str, str]
-    d2: float
-    require_orthogonal: bool = True
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.d1) and math.isfinite(self.d2)):
-            raise ScenarioError(f"target differences must be finite, got {self.d1}, {self.d2}")
-
-    @staticmethod
-    def for_scenario(
-        scenario: Scenario,
-        d1: Optional[float] = None,
-        d2: Optional[float] = None,
-        require_orthogonal: bool = True,
-    ) -> "SolveTarget":
-        """Targets on the scenario's two question pairs; gaps default to the registry values."""
-        if len(scenario.question_pairs) != 2:
-            raise ScenarioError(f"solving needs two question pairs; scenario {scenario.name!r} has one")
-        if d1 is None or d2 is None:
-            defaults = DEFAULT_TARGETS.get(scenario.name)
-            if defaults is None:
-                raise ScenarioError(
-                    f"scenario {scenario.name!r} has no default targets; pass d1 and d2 explicitly"
-                )
-            d1 = defaults[0] if d1 is None else d1
-            d2 = defaults[1] if d2 is None else d2
-        (a1, b1), (a2, b2) = scenario.question_pairs
-        return SolveTarget(
-            pair_1=(scenario.acts[a1].label, scenario.acts[b1].label),
-            d1=float(d1),
-            pair_2=(scenario.acts[a2].label, scenario.acts[b2].label),
-            d2=float(d2),
-            require_orthogonal=require_orthogonal,
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "pair_1": list(self.pair_1),
-            "d1": self.d1,
-            "pair_2": list(self.pair_2),
-            "d2": self.d2,
-            "require_orthogonal": self.require_orthogonal,
-        }
-
-
-def check_tolerance(tol: float) -> None:
-    """Raise ScenarioError unless a residual tolerance is finite and positive."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise ScenarioError(f"residual_tolerance must be finite and positive, got {tol}")
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -190,7 +130,8 @@ class ResidualSystem:
         self.scenario = scenario
         self.target = target
         self.u = u
-        self.delta_1, self.delta_2 = _gap_vectors(scenario, target, u)
+        self.gaps = _gap_vectors(scenario, target, u)
+        self.delta_1, self.delta_2 = (np.array(g) for g in self.gaps)
         self.groups = [(list(idx), math.sqrt(float(t))) for idx, t in scenario.groups()]
         self.n_events = scenario.n_events
         self.n_angles = sum(len(idx) - 1 for idx, _ in self.groups)
@@ -346,44 +287,6 @@ def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> Fit:
     return Fit(x=x, fun=r)
 
 
-def _gap_vectors(
-    scenario: Scenario, target: SolveTarget, u: UtilityFunction
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-event utility differences of question pair 1 and of question pair 2."""
-    (a1, b1), (a2, b2) = target.pair_1, target.pair_2
-    return (
-        utility_values(scenario, a1, u) - utility_values(scenario, b1, u),
-        utility_values(scenario, a2, u) - utility_values(scenario, b2, u),
-    )
-
-
-def _named_residuals(
-    scenario: Scenario,
-    w1: QuantumState,
-    w2: QuantumState,
-    target: SolveTarget,
-    d_1: np.ndarray,
-    d_2: np.ndarray,
-) -> dict[str, float]:
-    """Every equation's residual; ``d_1``/``d_2`` are the pairs' gap vectors."""
-    p1 = np.array(w1.probabilities())
-    p2 = np.array(w2.probabilities())
-    out = {
-        "target_1": float(np.dot(p1, d_1)) - target.d1,
-        "target_2": float(np.dot(p2, d_2)) - target.d2,
-    }
-    z = hilbert.inner_product(w1.ket(), w2.ket())
-    out["overlap_re"] = float(z.real)
-    out["overlap_im"] = float(z.imag)
-    out["norm_w1"] = float(p1.sum() - 1.0)
-    out["norm_w2"] = float(p2.sum() - 1.0)
-    for idx, t in scenario.groups():
-        labels = "".join(scenario.events[i] for i in idx)
-        out[f"group_{labels}_w1"] = float(sum(p1[i] for i in idx) - float(t))
-        out[f"group_{labels}_w2"] = float(sum(p2[i] for i in idx) - float(t))
-    return out
-
-
 def _converged(residuals: dict[str, float], target: SolveTarget, tol: float) -> bool:
     checked = dict(residuals)
     if not target.require_orthogonal:
@@ -418,7 +321,7 @@ def solve(
         fit = least_squares(system.residuals, starts[index], system.jacobian, config.max_iterations)
         cost = float(np.sum(fit.fun**2))
         w1, w2 = system.states(fit.x)
-        residuals = _named_residuals(scenario, w1, w2, target, system.delta_1, system.delta_2)
+        residuals = _named_residuals(scenario, w1, w2, target, *system.gaps)
         converged = _converged(residuals, target, config.residual_tolerance)
         if best is None or cost < best[0] or converged:
             best = (cost, index, w1, w2, residuals, converged)
@@ -435,119 +338,6 @@ def solve(
         cost=cost,
         restarts_used=index + 1,
         best_restart=best_index,
-    )
-
-
-def verify(
-    scenario: Scenario,
-    w1: QuantumState,
-    w2: QuantumState,
-    target: SolveTarget,
-    u: UtilityFunction = DEFAULT_UTILITY,
-    tol: float = 1e-8,
-) -> hilbert.ValidationReport:
-    """Recompute every equation for a given state pair; no search.
-
-    Group-constraint lines are held to the tighter of ``tol`` and 2e-3,
-    since rounded three-decimal vectors are expected to sit within 2e-3
-    of the exact group totals once projected.
-    """
-    residuals = _named_residuals(scenario, w1, w2, target, *_gap_vectors(scenario, target, u))
-    group_tol = min(tol, 2e-3)
-    checks = []
-    for name, value in residuals.items():
-        if name in ("overlap_re", "overlap_im") and not target.require_orthogonal:
-            continue
-        line_tol = group_tol if name.startswith(("group_", "norm_")) else tol
-        checks.append(hilbert.CheckLine(name=name, deviation=abs(value), tolerance=line_tol))
-    return hilbert.ValidationReport(
-        subject=f"state pair for {scenario.name} "
-        f"(targets {target.d1:g} on {target.pair_1[0]}-{target.pair_1[1]}, "
-        f"{target.d2:g} on {target.pair_2[0]}-{target.pair_2[1]})",
-        checks=tuple(checks),
-    )
-
-
-@dataclass(frozen=True)
-class PaperSolution:
-    """A published solution pair: printed polar values plus snapped states and targets."""
-
-    scenario_name: str
-    printed_moduli_1: tuple[float, ...]
-    printed_phases_deg_1: tuple[float, ...]
-    printed_moduli_2: tuple[float, ...]
-    printed_phases_deg_2: tuple[float, ...]
-    target: SolveTarget
-    w1: QuantumState
-    w2: QuantumState
-
-    def verify(self, u: UtilityFunction = DEFAULT_UTILITY, tol: float = 5e-3) -> hilbert.ValidationReport:
-        scenario = self.w1.scenario
-        return verify(scenario, self.w1, self.w2, self.target, u, tol)
-
-    def to_dict(self) -> dict:
-        return {
-            "scenario": self.scenario_name,
-            "printed_moduli_1": list(self.printed_moduli_1),
-            "printed_phases_deg_1": list(self.printed_phases_deg_1),
-            "printed_moduli_2": list(self.printed_moduli_2),
-            "printed_phases_deg_2": list(self.printed_phases_deg_2),
-            "target": self.target.to_dict(),
-            "w1": self.w1.to_dict(),
-            "w2": self.w2.to_dict(),
-        }
-
-
-_PUBLISHED: dict[str, dict] = {
-    "ellsberg3": {
-        "moduli_1": (0.577, 0.644, 0.502),
-        "phases_1": (0.0, 0.0, 0.0),
-        "moduli_2": (0.577, 0.505, 0.641),
-        "phases_2": (0.0, 238.48, 120.46),
-    },
-    "machina5051": {
-        "moduli_1": (0.487, 0.508, 0.345, 0.621),
-        "phases_1": (0.0, 0.0, 0.0, 90.0),
-        "moduli_2": (0.605, 0.359, 0.530, 0.474),
-        "phases_2": (90.0, 0.0, 180.0, 0.0),
-    },
-    "reflection_lower": {
-        "moduli_1": (0.333, 0.624, 0.333, 0.624),
-        "phases_1": (0.0, 0.0, 0.0, 0.0),
-        "moduli_2": (0.342, 0.619, 0.342, 0.619),
-        "phases_2": (180.0, 270.0, 0.0, 90.0),
-    },
-    "reflection_upper": {
-        "moduli_1": (0.297, 0.642, 0.297, 0.642),
-        "phases_1": (0.0, 0.0, 0.0, 0.0),
-        "moduli_2": (0.353, 0.613, 0.353, 0.613),
-        "phases_2": (0.0, 90.0, 180.0, 270.0),
-    },
-}
-
-
-def paper_solutions(scenario: Union[Scenario, str]) -> PaperSolution:
-    """The published solution pair for a built-in scenario, snapped onto the constraints."""
-    if isinstance(scenario, str):
-        scenario = builtin(scenario)
-    entry = _PUBLISHED.get(scenario.name)
-    if entry is None:
-        raise ScenarioError(
-            f"no published solution registered for scenario {scenario.name!r}; "
-            f"known: {sorted(_PUBLISHED)}"
-        )
-    target = SolveTarget.for_scenario(scenario)
-    w1 = state_from_polar(scenario, entry["moduli_1"], entry["phases_1"])
-    w2 = state_from_polar(scenario, entry["moduli_2"], entry["phases_2"])
-    return PaperSolution(
-        scenario_name=scenario.name,
-        printed_moduli_1=entry["moduli_1"],
-        printed_phases_deg_1=entry["phases_1"],
-        printed_moduli_2=entry["moduli_2"],
-        printed_phases_deg_2=entry["phases_2"],
-        target=target,
-        w1=w1,
-        w2=w2,
     )
 
 

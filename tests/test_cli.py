@@ -482,7 +482,7 @@ def _fresh_interpreter(script: str):
     return json.loads(proc.stdout)
 
 
-def test_only_solve_and_verify_paper_import_numpy():
+def test_only_solve_imports_numpy():
     # in one fresh interpreter, the numpy-free commands first
     loaded = _fresh_interpreter(
         "import contextlib, io, json, sys\n"
@@ -490,8 +490,8 @@ def test_only_solve_and_verify_paper_import_numpy():
         "loaded = {'import bornchoice': 'numpy' in sys.modules}\n"
         "from bornchoice.cli import main\n"
         "for argv in (['--version'], ['analyze'], ['feasibility', 'f1>f2,f4>f3', '--scenario', 'ellsberg3'],\n"
-        "             ['feasibility', 'f1=f2,f4=f3', '--scenario', 'ellsberg3'],\n"
-        "             ['solve', '--scenario', 'ellsberg3'], ['verify-paper']):\n"
+        "             ['feasibility', 'f1=f2,f4=f3', '--scenario', 'ellsberg3'], ['verify-paper'],\n"
+        "             ['solve', '--scenario', 'ellsberg3']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
         "        main(argv)\n"
         "    loaded[' '.join(argv[:2])] = 'numpy' in sys.modules\n"
@@ -500,7 +500,7 @@ def test_only_solve_and_verify_paper_import_numpy():
     assert loaded == {
         "import bornchoice": False, "--version": False, "analyze": False,
         "feasibility f1>f2,f4>f3": False, "feasibility f1=f2,f4=f3": False,
-        "solve --scenario": True, "verify-paper": True,
+        "verify-paper": False, "solve --scenario": True,
     }
 
 

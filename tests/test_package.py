@@ -52,3 +52,16 @@ def test_import_loads_no_submodule_until_asked():
         "                  'solver': 'bornchoice.solver' in sys.modules}))\n"
     )
     assert loaded == {"before": [], "solve": "bornchoice.solver", "solver": True}
+
+
+def test_verification_layers_load_no_numpy():
+    loaded = _fresh_interpreter(
+        "import json, sys\n"
+        "import bornchoice.quantum, bornchoice.report, bornchoice.verification\n"
+        "before = 'numpy' in sys.modules\n"
+        "from bornchoice.hilbert import CheckLine, ValidationReport\n"
+        "print(json.dumps({'before': before, 'after': 'numpy' in sys.modules,\n"
+        "                  'same': CheckLine is bornchoice.report.CheckLine\n"
+        "                          and ValidationReport is bornchoice.report.ValidationReport}))\n"
+    )
+    assert loaded == {"before": False, "after": True, "same": True}
