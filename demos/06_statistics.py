@@ -5,19 +5,16 @@ implemented variant reproduces.
     python3 demos/06_statistics.py
 """
 
-from importlib import resources
-
 from bornchoice import stats
-from bornchoice.scenarios import BUILTIN_NAMES, builtin
 
-# The bundled table has one row of cells per scenario: how many of the 200
-# participants gave each of the four answer combinations.
-with resources.as_file(resources.files("bornchoice").joinpath("data/table5.csv")) as path:
-    rows = stats.load_counts_csv(path)
+# The bundled table has one row of cells per scenario, labelled with the
+# scenario's name: how many of the 200 participants gave each of the four
+# answer combinations.
+rows = stats.load_counts_csv(stats.BUNDLED_COUNTS)
 
 reports = []
-for name, (label, counts) in zip(BUILTIN_NAMES, rows):
-    report = stats.analyze(counts, scenario=builtin(name))
+for label, counts in rows:
+    report = stats.analyze(counts, scenario=label)
     reports.append(report)
     print(report.summary())
     print()

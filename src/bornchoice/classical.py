@@ -25,6 +25,7 @@ from .scenarios import (
     ScenarioError,
     UtilityFunction,
     act_utilities,
+    utility_differences,
 )
 
 if TYPE_CHECKING:
@@ -72,14 +73,14 @@ class ClassicalProbability:
         if len(probs) != n:
             raise ScenarioError(f"expected {n} probabilities (one per event), got {len(probs)}")
         for label, p in zip(self.scenario.events, probs):
-            if p < -GROUP_SUM_TOL or p > 1 + GROUP_SUM_TOL:
+            if not -GROUP_SUM_TOL <= p <= 1 + GROUP_SUM_TOL:
                 raise ScenarioError(f"probability of event {label!r} is {p}, outside [0, 1]")
         total = sum(probs)
-        if abs(total - 1.0) > 1e-12:
+        if not abs(total - 1.0) <= 1e-12:
             raise ScenarioError(f"probabilities sum to {total!r}, not 1")
         for indices, t in self.scenario.groups():
             s = sum(probs[i] for i in indices)
-            if abs(s - float(t)) > GROUP_SUM_TOL:
+            if not abs(s - float(t)) <= GROUP_SUM_TOL:
                 labels = [self.scenario.events[i] for i in indices]
                 raise ScenarioError(f"group {labels} sums to {s!r}, constraint requires {t} (= {float(t)!r})")
         object.__setattr__(self, "probs", probs)
@@ -234,12 +235,6 @@ def _exact_dot(a: Sequence, b: Sequence) -> Fraction:
     return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
 
 
-def _difference_coefficients(
-    scenario: Scenario, first: Union[Act, str, int], second: Union[Act, str, int], u: UtilityFunction
-) -> tuple[float, ...]:
-    return tuple(x - y for x, y in zip(act_utilities(scenario, first, u), act_utilities(scenario, second, u)))
-
-
 def _is_single_swap(scenario: Scenario, first: Union[Act, str, int], second: Union[Act, str, int]) -> bool:
     # the sign structure is utility-independent when the two payoff rows
     # differ only by permuting one high/low payoff pair across events
@@ -293,8 +288,8 @@ def biconditional_check(
     to the constraint polytope: they must be positive multiples of each
     other there, or both identically zero.
     """
-    ca = _difference_coefficients(scenario, pair_a[0], pair_a[1], u)
-    cb = _difference_coefficients(scenario, pair_b[0], pair_b[1], u)
+    ca = utility_differences(scenario, pair_a[0], pair_a[1], u)
+    cb = utility_differences(scenario, pair_b[0], pair_b[1], u)
     va = _reduce(scenario, ca)
     vb = _reduce(scenario, cb)
     tol = 1e-12 * max(1.0, *map(abs, va), *map(abs, vb))
@@ -322,7 +317,7 @@ def _signed_conditions(
     out = []
     for (a, b), rel in zip(scenario.question_pairs, pattern.relations):
         la, lb = scenario.acts[a].label, scenario.acts[b].label
-        coeffs = _difference_coefficients(scenario, a, b, u)
+        coeffs = utility_differences(scenario, a, b, u)
         desc = _describe_functional(scenario, coeffs, la, lb)
         if rel == FIRST_STRICT:
             out.append(("strict", coeffs, f"{desc}; require W({la}) > W({lb})"))

@@ -23,7 +23,6 @@ import io
 import json
 import math
 import sys
-from importlib import resources
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -98,8 +97,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("solve", parents=[output], help="search for a state pair hitting target gaps")
     p.add_argument("--scenario", required=True, metavar="NAME|PATH",
                    help="built-in scenario name or scenario JSON file")
-    p.add_argument("--d1", type=float, help="target gap for question pair 1 (default: registry value)")
-    p.add_argument("--d2", type=float, help="target gap for question pair 2 (default: registry value)")
+    p.add_argument("--d1", type=float, help="target gap for question pair 1 (default: bundled table's weight)")
+    p.add_argument("--d2", type=float, help="target gap for question pair 2 (default: bundled table's weight)")
     p.add_argument("--utility", default="sqrt", help="utility function: sqrt, linear, or power:ALPHA")
     p.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     p.add_argument("--restarts", type=int, default=64, metavar="N",
@@ -191,19 +190,16 @@ def _cmd_verify_paper(args) -> int:
         verification.check_tolerance(args.tol)
     except ScenarioError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
-    if args.scenario is not None:
-        try:
-            names = [builtin(args.scenario).name]
-        except ScenarioError as exc:
-            raise _CliError(EXIT_USAGE, str(exc)) from exc
-    else:
-        names = list(BUILTIN_NAMES)
+    try:
+        scenarios = [builtin(name) for name in (BUILTIN_NAMES if args.scenario is None else [args.scenario])]
+    except ScenarioError as exc:
+        raise _CliError(EXIT_USAGE, str(exc)) from exc
     human_lines = [f"verify published solutions (tolerance {args.tol:g})"]
     entries = []
     csv_rows = []
     all_passed = True
-    for name in names:
-        scenario = builtin(name)
+    for scenario in scenarios:
+        name = scenario.name
         solution = verification.paper_solutions(scenario)
         report = solution.verify(u=u, tol=args.tol)
         all_passed &= report.passed
@@ -300,43 +296,25 @@ def _cmd_feasibility(args) -> int:
     return EXIT_OK
 
 
-def _bundled_counts_path():
-    return resources.files("bornchoice").joinpath("data/table5.csv")
-
-
 def _cmd_analyze(args) -> int:
     if args.counts is not None and args.cells is not None:
         raise _CliError(EXIT_USAGE, "--counts and --cells are mutually exclusive")
     base_scenario = _scenario(args.scenario) if args.scenario else None
     rows: list[tuple[Optional[str], ExperimentCounts]]
-    used_bundled = False
     if args.cells is not None:
         try:
             rows = [(None, ExperimentCounts(*args.cells))]
         except ScenarioError as exc:
             raise _CliError(EXIT_USAGE, str(exc)) from exc
-    elif args.counts is not None:
-        try:
-            rows = stats.load_counts_csv(args.counts)
-        except ScenarioError as exc:
-            raise _CliError(EXIT_DATA, str(exc)) from exc
     else:
-        used_bundled = True
-        with resources.as_file(_bundled_counts_path()) as path:
-            rows = stats.load_counts_csv(path)
+        # file content: a bad row, or a row label naming no scenario, exits 65 through main
+        rows = stats.load_counts_csv(stats.BUNDLED_COUNTS if args.counts is None else args.counts)
     if not rows:
         raise _CliError(EXIT_DATA, "no rows in counts input")
-    reports = []
-    for index, (label, counts) in enumerate(rows):
-        if label is not None:
-            scenario: Optional[Scenario] = _scenario(label)
-        elif base_scenario is not None:
-            scenario = base_scenario
-        elif used_bundled and len(rows) == len(BUILTIN_NAMES):
-            scenario = builtin(BUILTIN_NAMES[index])
-        else:
-            scenario = None
-        reports.append(stats.analyze(counts, scenario))
+    reports = [
+        stats.analyze(counts, base_scenario if label is None else resolve_scenario(label))
+        for label, counts in rows
+    ]
     human = "\n\n".join(report.summary() for report in reports)
     payload = {"command": "analyze", "reports": [report.to_dict() for report in reports]}
     _emit(args, human, payload, stats.report_csv_rows(reports))

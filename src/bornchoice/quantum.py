@@ -66,15 +66,17 @@ class QuantumState:
             raise ScenarioError(
                 f"state needs {n} moduli and {n} phases, got {len(moduli)} and {len(phases)}"
             )
+        if not all(math.isfinite(x) for x in moduli + phases):
+            raise ScenarioError(f"moduli and phases must be finite, got moduli {moduli} and phases {phases} rad")
         for label, m in zip(self.scenario.events, moduli):
             if m < 0:
                 raise ScenarioError(f"modulus of event {label!r} is negative ({m})")
         norm_sq = sum(m * m for m in moduli)
-        if abs(norm_sq - 1.0) > 1e-6:
+        if not abs(norm_sq - 1.0) <= 1e-6:
             raise ScenarioError(f"squared moduli sum to {norm_sq!r}, state is not a unit vector")
         for indices, total in self.scenario.groups():
             s = sum(moduli[i] ** 2 for i in indices)
-            if abs(s - float(total)) > 1e-12:
+            if not abs(s - float(total)) <= 1e-12:
                 labels = [self.scenario.events[i] for i in indices]
                 raise ScenarioError(
                     f"squared moduli of group {labels} sum to {s!r}, constraint requires {float(total)!r}; "
@@ -139,18 +141,20 @@ def state_from_polar(
         phs = [math.radians(float(d)) for d in phases_deg]
         if len(phs) != n:
             raise ScenarioError(f"expected {n} phases, got {len(phs)}")
+    if not all(math.isfinite(x) for x in mods + phs):
+        raise ScenarioError(f"moduli and phases must be finite, got moduli {mods} and phases {phs} rad")
     phs = [p + math.pi if m < 0 else p for m, p in zip(mods, phs)]
     mods = [abs(m) for m in mods]
 
     norm_sq = sum(m * m for m in mods)
-    if abs(norm_sq - 1.0) > snap_tol:
+    if not abs(norm_sq - 1.0) <= snap_tol:
         raise ScenarioError(
             f"squared moduli sum to {norm_sq:.6g}; off from 1 by more than snap tolerance {snap_tol:g}"
         )
     for indices, total in scenario.groups():
         s = sum(mods[i] * mods[i] for i in indices)
         t = float(total)
-        if abs(s - t) > snap_tol:
+        if not abs(s - t) <= snap_tol:
             labels = [scenario.events[i] for i in indices]
             raise ScenarioError(
                 f"squared moduli of group {labels} sum to {s:.6g}, constraint requires {t:.6g}; "

@@ -3,9 +3,10 @@
 A scenario holds an ordered list of elementary events, a payoff table
 (one act per row), fixed-probability constraints over groups of events
 (stored as exact rationals so downstream feasibility analysis stays
-exact), and the pairs of acts posed as binary questions. Four urn
-scenarios are built in; user scenarios load from a JSON document whose
-schema is documented in :func:`load_scenario`.
+exact), and the pairs of acts posed as binary questions. Scenarios load
+from a JSON document whose schema is documented in
+:func:`load_scenario`; the paper's four urns are such documents, bundled
+under ``data/`` and read by :func:`builtin`.
 
 The order inside a question pair is meaningful: the first-listed act is
 the one whose preference fraction the experiment reports, and the first
@@ -318,100 +319,20 @@ class Scenario:
 
 BUILTIN_NAMES = ("ellsberg3", "machina5051", "reflection_lower", "reflection_upper")
 
-
-def _build_ellsberg3() -> Scenario:
-    return Scenario(
-        name="ellsberg3",
-        events=("R", "Y", "B"),
-        acts=(
-            Act("f1", (100, 0, 0)),
-            Act("f2", (0, 0, 100)),
-            Act("f3", (100, 100, 0)),
-            Act("f4", (0, 100, 100)),
-        ),
-        constraints=(
-            ProbabilityConstraint(frozenset({0}), Fraction(1, 3)),
-            ProbabilityConstraint(frozenset({1, 2}), Fraction(2, 3)),
-        ),
-        # pair 2 lists f4 first: the reported fraction is for f4 over f3
-        question_pairs=((0, 1), (3, 2)),
-    )
-
-
-def _build_machina5051() -> Scenario:
-    return Scenario(
-        name="machina5051",
-        events=("R", "Y", "B", "G"),
-        acts=(
-            Act("f1", (202, 202, 101, 101)),
-            Act("f2", (202, 101, 202, 101)),
-            Act("f3", (303, 202, 101, 0)),
-            Act("f4", (303, 101, 202, 0)),
-        ),
-        constraints=(
-            ProbabilityConstraint(frozenset({0, 1}), Fraction(50, 101)),
-            ProbabilityConstraint(frozenset({2, 3}), Fraction(51, 101)),
-        ),
-        question_pairs=((0, 1), (3, 2)),
-    )
-
-
-def _build_reflection_lower() -> Scenario:
-    return Scenario(
-        name="reflection_lower",
-        events=("R", "Y", "B", "G"),
-        acts=(
-            Act("f1", (0, 50, 25, 25)),
-            Act("f2", (0, 25, 50, 25)),
-            Act("f3", (25, 50, 25, 0)),
-            Act("f4", (25, 25, 50, 0)),
-        ),
-        constraints=(
-            ProbabilityConstraint(frozenset({0, 1}), Fraction(1, 2)),
-            ProbabilityConstraint(frozenset({2, 3}), Fraction(1, 2)),
-        ),
-        # pair 2 lists f3 first: the reported fraction is for f3 over f4
-        question_pairs=((0, 1), (2, 3)),
-    )
-
-
-def _build_reflection_upper() -> Scenario:
-    return Scenario(
-        name="reflection_upper",
-        events=("R", "Y", "B", "G"),
-        acts=(
-            Act("f1", (50, 50, 25, 75)),
-            Act("f2", (50, 25, 50, 75)),
-            Act("f3", (75, 50, 25, 50)),
-            Act("f4", (75, 25, 50, 50)),
-        ),
-        constraints=(
-            ProbabilityConstraint(frozenset({0, 1}), Fraction(1, 2)),
-            ProbabilityConstraint(frozenset({2, 3}), Fraction(1, 2)),
-        ),
-        question_pairs=((0, 1), (2, 3)),
-    )
-
-
-_BUILDERS = {
-    "ellsberg3": _build_ellsberg3,
-    "machina5051": _build_machina5051,
-    "reflection_lower": _build_reflection_lower,
-    "reflection_upper": _build_reflection_upper,
-}
+# the bundled files: one JSON definition per built-in and the experiment's
+# cell table, one row per built-in in BUILTIN_NAMES order
+DATA_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 
 def builtin(name: str) -> Scenario:
-    """Return one of the built-in scenarios by name.
+    """Load one of the built-in scenarios, ``data/<name>.json``, by name.
 
     Valid names: ``ellsberg3``, ``machina5051``, ``reflection_lower``,
     ``reflection_upper``.
     """
-    try:
-        builder = _BUILDERS[name]
-    except KeyError:
-        raise ScenarioError(f"unknown scenario {name!r}; built-ins are {BUILTIN_NAMES}") from None
-    return builder()
+    if name not in BUILTIN_NAMES:
+        raise ScenarioError(f"unknown scenario {name!r}; built-ins are {BUILTIN_NAMES}")
+    return load_scenario_file(os.path.join(DATA_DIR, f"{name}.json"))
 
 
 def _require(document: Mapping, key: str, kind: type, where: str):
@@ -553,7 +474,7 @@ def load_scenario_file(path) -> Scenario:
 
 def resolve_scenario(name_or_path: str) -> Scenario:
     """Interpret a CLI-style scenario argument as a builtin name or a file path."""
-    if name_or_path in _BUILDERS:
+    if name_or_path in BUILTIN_NAMES:
         return builtin(name_or_path)
     if os.path.exists(name_or_path):
         return load_scenario_file(name_or_path)
@@ -574,6 +495,13 @@ def act_utilities(scenario: Scenario, act: Union[Act, str, int], u: UtilityFunct
     all_payoffs = [x for a in scenario.acts for x in a.payoffs]
     u.check_increasing_on(all_payoffs)
     return tuple(u(x) for x in act.payoffs)
+
+
+def utility_differences(
+    scenario: Scenario, first: Union[Act, str, int], second: Union[Act, str, int], u: UtilityFunction
+) -> tuple[float, ...]:
+    """Per-event u(x_i) of ``first`` minus u(x_i) of ``second``: the coefficients of W(first) - W(second) in p."""
+    return tuple(x - y for x, y in zip(act_utilities(scenario, first, u), act_utilities(scenario, second, u)))
 
 
 def utility_values(scenario: Scenario, act: Union[Act, str, int], u: UtilityFunction) -> np.ndarray:

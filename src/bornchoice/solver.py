@@ -23,15 +23,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .quantum import QuantumState
-from .scenarios import DEFAULT_UTILITY, Scenario, ScenarioError, UtilityFunction
+from .scenarios import DEFAULT_UTILITY, Scenario, ScenarioError, UtilityFunction, utility_differences
 
 # the check of a given pair lives in the numpy-free verification module;
 # its names stay importable from here
 from .verification import (  # noqa: F401
-    DEFAULT_TARGETS,
     PaperSolution,
     SolveTarget,
-    _gap_vectors,
     _named_residuals,
     check_tolerance,
     paper_solutions,
@@ -130,7 +128,7 @@ class ResidualSystem:
         self.scenario = scenario
         self.target = target
         self.u = u
-        self.gaps = _gap_vectors(scenario, target, u)
+        self.gaps = tuple(utility_differences(scenario, *pair, u) for pair in (target.pair_1, target.pair_2))
         self.delta_1, self.delta_2 = (np.array(g) for g in self.gaps)
         self.groups = [(list(idx), math.sqrt(float(t))) for idx, t in scenario.groups()]
         self.n_events = scenario.n_events

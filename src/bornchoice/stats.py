@@ -19,13 +19,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .scenarios import ExperimentCounts, Scenario, ScenarioError, builtin
+from .scenarios import DATA_DIR, ExperimentCounts, Scenario, ScenarioError, builtin
 
 # a published value counts as reproduced when some variant lands within
 # this relative distance of it
 MATCH_RTOL = 0.10
 
 COUNT_COLUMNS = ("n_f1f4", "n_f1f3", "n_f2f3", "n_f2f4")
+
+# the experiment's cell table, one row per built-in, labelled in its scenario column
+BUNDLED_COUNTS = Path(DATA_DIR, "table5.csv")
 
 # published per-scenario analysis values: per-question counts, weights,
 # p-values, inversion rate, and the cross-question p-value
@@ -389,19 +392,19 @@ def load_counts_csv(path: Union[str, Path]) -> list[tuple[Optional[str], Experim
     rows: list[tuple[Optional[str], ExperimentCounts]] = []
     for line_no, row in enumerate(reader, start=2):
         values = {}
-        for column in COUNT_COLUMNS:
+        for column in (*COUNT_COLUMNS, "n_total"):
             raw = (row.get(column) or "").strip()
+            if not raw and column == "n_total":
+                continue
             try:
                 values[column] = int(raw)
             except ValueError:
                 raise ScenarioError(
                     f"counts file {path} line {line_no}: column {column} is {raw!r}, not an integer"
                 ) from None
-        total_raw = (row.get("n_total") or "").strip()
-        total = int(total_raw) if total_raw else None
         label = (row.get("scenario") or "").strip() or None
         try:
-            counts = ExperimentCounts(n_total=total, **values)
+            counts = ExperimentCounts(**values)
         except ScenarioError as exc:
             raise ScenarioError(f"counts file {path} line {line_no}: {exc}") from exc
         rows.append((label, counts))

@@ -5,7 +5,9 @@ difference each should show: question 1 in state w1, question 2 in
 state w2, with w1 and w2 orthogonal. :func:`verify` recomputes every
 equation of a given pair (both targets, the overlap, each unit norm and
 each group constraint) with no search, and the registry of published
-solution pairs supports that check on the built-ins. Everything here
+solution pairs supports that check on the built-ins. A built-in's default
+gaps are the experiment's preference weights, read from its row of the
+bundled cell table. Everything here
 runs on the standard library; the search itself is in
 :mod:`bornchoice.solver`.
 """
@@ -16,24 +18,18 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
+from . import stats
 from .quantum import QuantumState, overlap, state_from_polar
 from .report import CheckLine, ValidationReport
 from .scenarios import (
+    BUILTIN_NAMES,
     DEFAULT_UTILITY,
     Scenario,
     ScenarioError,
     UtilityFunction,
-    act_utilities,
     builtin,
+    utility_differences,
 )
-
-# default target gaps per built-in scenario, first and second question pair
-DEFAULT_TARGETS: dict[str, tuple[float, float]] = {
-    "ellsberg3": (0.815, 0.780),
-    "machina5051": (0.580, 0.630),
-    "reflection_lower": (0.575, 0.550),
-    "reflection_upper": (0.670, 0.520),
-}
 
 
 @dataclass(frozen=True)
@@ -57,15 +53,20 @@ class SolveTarget:
         d2: Optional[float] = None,
         require_orthogonal: bool = True,
     ) -> "SolveTarget":
-        """Targets on the scenario's two question pairs; gaps default to the registry values."""
+        """Targets on the scenario's two question pairs.
+
+        A gap left out defaults, for a built-in's name, to the preference
+        weight of that question in the built-in's row of the bundled table.
+        """
         if len(scenario.question_pairs) != 2:
             raise ScenarioError(f"solving needs two question pairs; scenario {scenario.name!r} has one")
         if d1 is None or d2 is None:
-            defaults = DEFAULT_TARGETS.get(scenario.name)
-            if defaults is None:
+            if scenario.name not in BUILTIN_NAMES:
                 raise ScenarioError(
                     f"scenario {scenario.name!r} has no default targets; pass d1 and d2 explicitly"
                 )
+            counts = dict(stats.load_counts_csv(stats.BUNDLED_COUNTS))[scenario.name]
+            defaults = stats.preference_weights(counts, scenario.name)
             d1 = defaults[0] if d1 is None else d1
             d2 = defaults[1] if d2 is None else d2
         (a1, b1), (a2, b2) = scenario.question_pairs
@@ -91,16 +92,6 @@ def check_tolerance(tol: float) -> None:
     """Raise ScenarioError unless a residual tolerance is finite and positive."""
     if not (math.isfinite(tol) and tol > 0):
         raise ScenarioError(f"residual_tolerance must be finite and positive, got {tol}")
-
-
-def _gap_vectors(
-    scenario: Scenario, target: SolveTarget, u: UtilityFunction
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Per-event utility differences of question pair 1 and of question pair 2."""
-    return tuple(
-        tuple(x - y for x, y in zip(act_utilities(scenario, a, u), act_utilities(scenario, b, u)))
-        for a, b in (target.pair_1, target.pair_2)
-    )
 
 
 def _named_residuals(
@@ -144,7 +135,8 @@ def verify(
     since rounded three-decimal vectors are expected to sit within 2e-3
     of the exact group totals once projected.
     """
-    residuals = _named_residuals(scenario, w1, w2, target, *_gap_vectors(scenario, target, u))
+    gaps = (utility_differences(scenario, *pair, u) for pair in (target.pair_1, target.pair_2))
+    residuals = _named_residuals(scenario, w1, w2, target, *gaps)
     group_tol = min(tol, 2e-3)
     checks = []
     for name, value in residuals.items():

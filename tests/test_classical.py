@@ -69,6 +69,16 @@ def test_classical_probability_rejections():
         ClassicalProbability(s, (0.5, 0.25, 0.25))
 
 
+@pytest.mark.parametrize("probs", [
+    (math.nan,) * 3,
+    (1 / 3, math.nan, 1 / 3),
+    (1 / 3, math.inf, -math.inf),
+], ids=["all-nan", "one-nan", "infinite"])
+def test_classical_probability_rejects_non_finite(probs):
+    with pytest.raises(ScenarioError, match="outside"):
+        ClassicalProbability(builtin("ellsberg3"), probs)
+
+
 # -- pattern parsing ----------------------------------------------------
 
 def test_pattern_from_text_orientations():

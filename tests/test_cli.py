@@ -17,7 +17,7 @@ from test_classical import assert_verdict_proven
 
 from bornchoice import classical, quantum, solver
 from bornchoice.cli import EXIT_INTERNAL, main
-from bornchoice.scenarios import builtin
+from bornchoice.scenarios import BUILTIN_NAMES, builtin
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -335,6 +335,13 @@ def test_analyze_cells_and_counts_conflict(capsys, tmp_path):
     assert "mutually exclusive" in err
 
 
+def test_analyze_bundled_rows_keep_their_labels_under_scenario(capsys):
+    # as in a labelled --counts file, a row's own label wins over --scenario
+    code, out, _ = run(capsys, ["analyze", "--scenario", "ellsberg3", "--format", "csv"])
+    assert code == 0
+    assert [row["scenario"] for row in csv.DictReader(io.StringIO(out))] == list(BUILTIN_NAMES)
+
+
 def test_analyze_csv_output(capsys):
     code, out, _ = run(capsys, ["analyze", "--format", "csv"])
     assert code == 0
@@ -423,6 +430,20 @@ def test_analyze_counts_file_not_utf8_is_data_error(capsys, tmp_path):
     assert err.count("\n") == 1 and "cannot read" in err
 
 
+@pytest.mark.parametrize("content, message", [
+    ("n_f1f4,n_f1f3,n_f2f3,n_f2f4,n_total\n1,2,3,4,abc\n", "line 2: column n_total is 'abc', not an integer"),
+    # a row label is file content, not an argument
+    ("scenario,n_f1f4,n_f1f3,n_f2f3,n_f2f4\nnonesuch,1,2,3,4\n", "unknown scenario 'nonesuch'"),
+], ids=["bad-n-total", "unknown-row-label"])
+def test_analyze_bad_counts_content_is_data_error(capsys, tmp_path, content, message):
+    path = tmp_path / "counts.csv"
+    path.write_text(content)
+    code, out, err = run(capsys, ["analyze", "--counts", str(path)])
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and message in err
+
+
 @pytest.mark.parametrize("argv", [
     # an unknown scenario name was already a usage error; the resolver keeps it one
     ["solve", "--scenario", "nonesuch"],
@@ -480,6 +501,19 @@ def _fresh_interpreter(script: str):
     )
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("command", ["verify-paper", "analyze"])
+def test_bundled_files_load_from_any_working_directory(tmp_path, command):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "bornchoice.cli", command], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    for name in BUILTIN_NAMES:
+        assert f"scenario {name}" in proc.stdout
 
 
 def test_only_solve_imports_numpy():

@@ -63,6 +63,19 @@ def test_state_validation_errors():
         QuantumState(s, (math.sqrt(0.4), math.sqrt(0.3), math.sqrt(0.3)), (0.0,) * 3)
 
 
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda s: state_from_polar(s, (math.nan, 0.644, 0.502)), id="polar-nan-modulus"),
+    pytest.param(lambda s: state_from_polar(s, (0.577, 0.644, 0.502), (0.0, math.nan, 0.0)), id="polar-nan-phase"),
+    pytest.param(lambda s: state_from_polar(s, (0.577, math.inf, 0.502)), id="polar-infinite-modulus"),
+    pytest.param(lambda s: QuantumState(s, (math.nan,) * 3, (0.0,) * 3), id="nan-moduli"),
+    pytest.param(lambda s: QuantumState(s, (math.sqrt(1 / 3),) * 3, (0.0, math.nan, 0.0)), id="nan-phase"),
+    pytest.param(lambda s: QuantumState(s, (math.sqrt(1 / 3),) * 3, (0.0, math.inf, 0.0)), id="infinite-phase"),
+])
+def test_non_finite_moduli_and_phases_are_rejected(make):
+    with pytest.raises(ScenarioError, match="moduli and phases must be finite"):
+        make(builtin("ellsberg3"))
+
+
 def test_state_round_trips_polar_form():
     s = builtin("ellsberg3")
     v = state_from_polar(s, (0.577, 0.505, 0.641), (0.0, 238.48, 120.46))

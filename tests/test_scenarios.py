@@ -110,6 +110,17 @@ def test_builtin_names_and_lookup():
         builtin("ellsberg")
 
 
+@pytest.mark.parametrize("name", ["table5", "../data/ellsberg3", "ellsberg3.json"])
+def test_builtin_opens_no_file_for_other_names(monkeypatch, name):
+    def no_open(*args, **kwargs):
+        raise AssertionError(f"opened {args[0]!r}")
+
+    with monkeypatch.context() as patch:
+        patch.setattr("builtins.open", no_open)
+        with pytest.raises(ScenarioError, match="unknown scenario"):
+            builtin(name)
+
+
 def test_ellsberg3_contents():
     s = builtin("ellsberg3")
     assert s.events == ("R", "Y", "B")

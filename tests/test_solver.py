@@ -9,10 +9,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from bornchoice import quantum, solver
+from bornchoice import quantum, solver, stats
 from bornchoice.scenarios import BUILTIN_NAMES, ScenarioError, builtin, load_scenario
 from bornchoice.solver import (
-    DEFAULT_TARGETS,
     ResidualSystem,
     SolveTarget,
     SolverConfig,
@@ -59,13 +58,25 @@ REALIZED_GAPS = {
 
 # -- targets and configuration -------------------------------------------
 
+def default_targets(name):
+    """A built-in's default (d1, d2)."""
+    target = SolveTarget.for_scenario(builtin(name))
+    return target.d1, target.d2
+
+
 def test_default_targets_table():
-    assert DEFAULT_TARGETS == {
+    assert {name: default_targets(name) for name in BUILTIN_NAMES} == {
         "ellsberg3": (0.815, 0.780),
         "machina5051": (0.580, 0.630),
         "reflection_lower": (0.575, 0.550),
         "reflection_upper": (0.670, 0.520),
     }
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_default_targets_are_the_bundled_preference_weights(name):
+    counts = dict(stats.load_counts_csv(stats.BUNDLED_COUNTS))[name]
+    assert default_targets(name) == stats.preference_weights(counts, builtin(name))
 
 
 def test_solve_target_for_scenario():
@@ -119,7 +130,7 @@ def test_registry_keeps_printed_values_verbatim(name):
     assert sol.printed_moduli_2 == PRINTED[name][1]
     data = sol.to_dict()
     assert data["printed_moduli_2"] == list(PRINTED[name][1])
-    assert data["target"]["d1"] == DEFAULT_TARGETS[name][0]
+    assert data["target"]["d1"] == default_targets(name)[0]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -134,7 +145,7 @@ def test_registry_passes_verify_at_half_percent(name):
     sol = paper_solutions(name)
     report = sol.verify()
     assert report.passed, report.summary()
-    d1, d2 = DEFAULT_TARGETS[name]
+    d1, d2 = default_targets(name)
     g1, g2 = REALIZED_GAPS[name]
     assert report.check("target_1").deviation == pytest.approx(abs(g1 - d1), abs=1e-9)
     assert report.check("target_2").deviation == pytest.approx(abs(g2 - d2), abs=1e-9)
@@ -272,7 +283,7 @@ def test_solve_converges_wherever_trf_does(monkeypatch):
         s = builtin(name)
         for shift_1 in (-0.05, 0.0, 0.05):
             for shift_2 in (-0.05, 0.0, 0.05):
-                d1, d2 = DEFAULT_TARGETS[name]
+                d1, d2 = default_targets(name)
                 target = SolveTarget.for_scenario(s, d1=d1 + shift_1, d2=d2 + shift_2)
                 if trf_solve(monkeypatch, s, target).converged and not solve(s, target).converged:
                     missed.append((name, target.d1, target.d2))

@@ -7,6 +7,7 @@ import math
 import pytest
 
 from bornchoice.scenarios import (
+    BUILTIN_NAMES,
     Act,
     ExperimentCounts,
     Fraction,
@@ -16,6 +17,7 @@ from bornchoice.scenarios import (
     builtin,
 )
 from bornchoice.stats import (
+    BUNDLED_COUNTS,
     analyze,
     binomial_z_test,
     exact_binomial_test,
@@ -361,6 +363,13 @@ def test_report_to_dict_shape():
 
 
 # -- CSV input and output ---------------------------------------------------
+
+def test_bundled_table_labels_its_rows_in_builtin_order():
+    # cli analyze and the benchmark's analyze check read the rows in this order
+    rows = load_counts_csv(BUNDLED_COUNTS)
+    assert [label for label, _ in rows] == list(BUILTIN_NAMES)
+    assert {label: counts.cells() for label, counts in rows} == CELLS
+
 
 def test_load_counts_csv_round_trip(tmp_path):
     path = tmp_path / "counts.csv"

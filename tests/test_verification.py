@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bornchoice import quantum, verification
-from bornchoice.scenarios import BUILTIN_NAMES, DEFAULT_UTILITY, builtin, utility_values
+from bornchoice.scenarios import BUILTIN_NAMES, DEFAULT_UTILITY, builtin, utility_differences, utility_values
 from bornchoice.solver import ResidualSystem
 
 # a 3- or 4-term float sum, reordered: within 2 ulp of the largest term;
@@ -47,9 +47,8 @@ def reference_target(scenario, state, pair, d):
 
 
 def assert_matches_numpy(scenario, w1, w2, target):
-    named = verification._named_residuals(
-        scenario, w1, w2, target, *verification._gap_vectors(scenario, target, DEFAULT_UTILITY)
-    )
+    gaps = (utility_differences(scenario, *pair, DEFAULT_UTILITY) for pair in (target.pair_1, target.pair_2))
+    named = verification._named_residuals(scenario, w1, w2, target, *gaps)
     for key, state, pair, d in (("target_1", w1, target.pair_1, target.d1), ("target_2", w2, target.pair_2, target.d2)):
         expected, largest = reference_target(scenario, state, pair, d)
         assert abs(named[key] - expected) <= TARGET_ULPS * math.ulp(largest) + math.ulp(expected), key
