@@ -169,7 +169,10 @@ class Act:
     payoffs: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        payoffs = tuple(float(x) for x in self.payoffs)
+        try:
+            payoffs = tuple(float(x) for x in self.payoffs)
+        except (TypeError, ValueError):
+            raise ScenarioError(f"act {self.label!r}: payoffs must be numbers, got {list(self.payoffs)!r}") from None
         if not all(math.isfinite(x) for x in payoffs):
             raise ScenarioError(f"act {self.label!r}: payoffs must be finite, got {list(payoffs)}")
         object.__setattr__(self, "payoffs", payoffs)
@@ -181,13 +184,14 @@ class Act:
 
 @dataclass(frozen=True)
 class ProbabilityConstraint:
-    """Fixed total probability over a group of event indices, stored exactly."""
+    """Fixed total probability over events, stored exactly; a Scenario resolves labels to indices."""
 
     event_indices: frozenset[int]
     total: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "event_indices", frozenset(int(i) for i in self.event_indices))
+        if not isinstance(self.event_indices, frozenset):  # a set would merge True into 1
+            object.__setattr__(self, "event_indices", tuple(self.event_indices))
         total = Fraction(self.total)
         if not 0 <= total <= 1:
             raise ScenarioError(f"constraint total {total} is outside [0, 1]")
@@ -199,13 +203,28 @@ class ProbabilityConstraint:
         return tuple(sorted(self.event_indices))
 
 
+def _resolve(ref: Union[str, int], labels: Sequence[str], kind: str) -> int:
+    """Position in ``labels`` of the act or event named by a label or a 0-based index, never a bool."""
+    if isinstance(ref, str):
+        if ref in labels:
+            return labels.index(ref)
+        raise ScenarioError(f"unknown {kind} {ref!r}; scenario has {list(labels)}")
+    if isinstance(ref, int) and not isinstance(ref, bool):
+        if 0 <= ref < len(labels):
+            return ref
+        raise ScenarioError(f"{kind} index {ref} out of range for {len(labels)} {kind}s")
+    raise ScenarioError(f"bad {kind} reference {ref!r}; expected a label or a 0-based index")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Events, acts, exact probability constraints, and question pairs.
 
     The constraints must partition the events (disjoint groups covering
     every event, totals summing to 1); that partition is what both the
-    classical simplex and the quantum state space are built on.
+    classical simplex and the quantum state space are built on. Constraint
+    events and question-pair acts are named by label or 0-based index and
+    stored as indices.
     """
 
     name: str
@@ -217,8 +236,6 @@ class Scenario:
     def __post_init__(self) -> None:
         object.__setattr__(self, "events", tuple(str(e) for e in self.events))
         object.__setattr__(self, "acts", tuple(self.acts))
-        object.__setattr__(self, "constraints", tuple(self.constraints))
-        object.__setattr__(self, "question_pairs", tuple((int(a), int(b)) for a, b in self.question_pairs))
         n = len(self.events)
         if n == 0:
             raise ScenarioError("a scenario needs at least one event")
@@ -232,14 +249,17 @@ class Scenario:
                 raise ScenarioError(
                     f"act {act.label!r}: expected {n} payoffs (one per event), got {act.n_events}"
                 )
-        seen: set[int] = set()
-        for c in self.constraints:
-            for i in c.event_indices:
-                if not 0 <= i < n:
-                    raise ScenarioError(f"constraint references event index {i}, valid range is 0..{n - 1}")
-                if i in seen:
-                    raise ScenarioError(f"constraints overlap on event {self.events[i]!r}")
-            seen |= c.event_indices
+        constraints, seen = [], set()
+        for k, c in enumerate(self.constraints):
+            try:
+                indices = frozenset(map(self.event_index, c.event_indices))
+            except ScenarioError as exc:
+                raise ScenarioError(f"constraints[{k}]: {exc}") from None
+            if seen & indices:
+                raise ScenarioError(f"constraints overlap on event {self.events[min(seen & indices)]!r}")
+            seen |= indices
+            constraints.append(ProbabilityConstraint(indices, c.total))
+        object.__setattr__(self, "constraints", tuple(constraints))
         if seen != set(range(n)):
             missing = [self.events[i] for i in sorted(set(range(n)) - seen)]
             raise ScenarioError(f"constraints do not cover events {missing}; groups must partition the events")
@@ -248,46 +268,30 @@ class Scenario:
             raise ScenarioError(f"constraint totals must sum to 1, got {total} (partition violation)")
         if not 1 <= len(self.question_pairs) <= 2:
             raise ScenarioError(f"a scenario needs one or two question pairs, got {len(self.question_pairs)}")
-        for a, b in self.question_pairs:
-            if not (0 <= a < len(self.acts) and 0 <= b < len(self.acts)):
-                raise ScenarioError(f"question pair ({a}, {b}) references a missing act")
+        pairs = []
+        for k, pair in enumerate(self.question_pairs):
+            try:
+                a, b = map(self.act_index, pair)
+            except ScenarioError as exc:
+                raise ScenarioError(f"question_pairs[{k}] references a missing act: {exc}") from None
             if a == b:
                 raise ScenarioError(f"question pair ({a}, {b}) must reference two distinct acts")
+            pairs.append((a, b))
+        object.__setattr__(self, "question_pairs", tuple(pairs))
 
     @property
     def n_events(self) -> int:
         return len(self.events)
 
     def act(self, label_or_index: Union[str, int]) -> Act:
-        """Look up an act by label or index."""
-        if isinstance(label_or_index, int):
-            try:
-                return self.acts[label_or_index]
-            except IndexError:
-                raise ScenarioError(f"act index {label_or_index} out of range") from None
-        for a in self.acts:
-            if a.label == label_or_index:
-                return a
-        raise ScenarioError(f"unknown act {label_or_index!r}; scenario has {[a.label for a in self.acts]}")
+        """Look up an act by label or 0-based index."""
+        return self.acts[self.act_index(label_or_index)]
 
     def act_index(self, label_or_index: Union[str, int]) -> int:
-        if isinstance(label_or_index, int):
-            self.act(label_or_index)
-            return label_or_index
-        for i, a in enumerate(self.acts):
-            if a.label == label_or_index:
-                return i
-        raise ScenarioError(f"unknown act {label_or_index!r}; scenario has {[a.label for a in self.acts]}")
+        return _resolve(label_or_index, [a.label for a in self.acts], "act")
 
     def event_index(self, label_or_index: Union[str, int]) -> int:
-        if isinstance(label_or_index, int):
-            if not 0 <= label_or_index < self.n_events:
-                raise ScenarioError(f"event index {label_or_index} out of range")
-            return label_or_index
-        try:
-            return self.events.index(label_or_index)
-        except ValueError:
-            raise ScenarioError(f"unknown event {label_or_index!r}; scenario has {list(self.events)}") from None
+        return _resolve(label_or_index, self.events, "event")
 
     def groups(self) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
         """Constraint groups as (sorted event indices, exact total), in first-index order."""
@@ -376,100 +380,66 @@ def load_scenario(document: Union[str, Mapping]) -> Scenario:
 
     Constraint totals are exact rationals written as integer fractions
     ("1/3", "50/101"); floats are rejected. Constraint ``events`` and
-    ``question_pairs`` entries may be labels or 0-based indices. The
-    constraint groups must partition the events. Validation failures
-    name the offending field.
+    ``question_pairs`` entries are labels or 0-based indices, never
+    negative and never booleans. This function checks the document's
+    shape and field types; :class:`Act`, :class:`ProbabilityConstraint`
+    and :class:`Scenario` check counts, ranges and that the constraint
+    groups partition the events. Validation failures name the offending
+    field.
     """
     if isinstance(document, str):
         try:
             document = json.loads(document)
         except json.JSONDecodeError as exc:
             raise ScenarioError(f"scenario document is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ScenarioError("scenario document is nested too deeply to parse") from None
     if not isinstance(document, Mapping):
         raise ScenarioError(f"scenario document must be a JSON object, got {type(document).__name__}")
 
     name = _require(document, "name", str, "scenario")
-    events = _require(document, "events", list, f"scenario {name!r}")
-    events = tuple(str(e) for e in events)
-    raw_acts = _require(document, "acts", list, f"scenario {name!r}")
+    events = tuple(str(e) for e in _require(document, "events", list, f"scenario {name!r}"))
     acts = []
-    for k, entry in enumerate(raw_acts):
+    for k, entry in enumerate(_require(document, "acts", list, f"scenario {name!r}")):
         if not isinstance(entry, Mapping):
             raise ScenarioError(f"scenario {name!r}: acts[{k}] must be an object with label and payoffs")
         label = _require(entry, "label", str, f"acts[{k}]")
-        payoffs = _require(entry, "payoffs", list, f"act {label!r}")
-        if len(payoffs) != len(events):
-            raise ScenarioError(
-                f"act {label!r}: expected {len(events)} payoffs (one per event), got {len(payoffs)}"
-            )
-        try:
-            payoffs = tuple(float(x) for x in payoffs)
-        except (TypeError, ValueError):
-            raise ScenarioError(f"act {label!r}: payoffs must be numbers, got {payoffs!r}") from None
-        acts.append(Act(label, payoffs))
+        acts.append(Act(label, _require(entry, "payoffs", list, f"act {label!r}")))
 
-    raw_constraints = _require(document, "constraints", list, f"scenario {name!r}")
     constraints = []
-    for k, entry in enumerate(raw_constraints):
+    for k, entry in enumerate(_require(document, "constraints", list, f"scenario {name!r}")):
+        where = f"constraints[{k}]"
         if not isinstance(entry, Mapping):
-            raise ScenarioError(f"scenario {name!r}: constraints[{k}] must be an object with events and total")
-        raw_events = _require(entry, "events", list, f"constraints[{k}]")
-        indices = set()
-        for e in raw_events:
-            if isinstance(e, bool):
-                raise ScenarioError(f"constraints[{k}]: bad event reference {e!r}")
-            if isinstance(e, int):
-                if not 0 <= e < len(events):
-                    raise ScenarioError(f"constraints[{k}]: event index {e} out of range 0..{len(events) - 1}")
-                indices.add(e)
-            elif isinstance(e, str):
-                if e not in events:
-                    raise ScenarioError(f"constraints[{k}]: unknown event {e!r}; events are {list(events)}")
-                indices.add(events.index(e))
-            else:
-                raise ScenarioError(f"constraints[{k}]: bad event reference {e!r}")
-        total = _parse_total(entry.get("total"), f"constraints[{k}]")
-        constraints.append(ProbabilityConstraint(frozenset(indices), total))
+            raise ScenarioError(f"scenario {name!r}: {where} must be an object with events and total")
+        refs = _require(entry, "events", list, where)
+        constraints.append(ProbabilityConstraint(tuple(refs), _parse_total(entry.get("total"), where)))
 
-    raw_pairs = _require(document, "question_pairs", list, f"scenario {name!r}")
-    label_to_index = {a.label: i for i, a in enumerate(acts)}
-    pairs = []
-    for k, entry in enumerate(raw_pairs):
+    pairs = _require(document, "question_pairs", list, f"scenario {name!r}")
+    for k, entry in enumerate(pairs):
         if not isinstance(entry, Sequence) or isinstance(entry, str) or len(entry) != 2:
             raise ScenarioError(f"question_pairs[{k}] must be a pair of act labels or indices")
-        resolved = []
-        for e in entry:
-            if isinstance(e, bool):
-                raise ScenarioError(f"question_pairs[{k}]: bad act reference {e!r}")
-            if isinstance(e, int):
-                if not 0 <= e < len(acts):
-                    raise ScenarioError(f"question_pairs[{k}]: act index {e} out of range")
-                resolved.append(e)
-            elif isinstance(e, str):
-                if e not in label_to_index:
-                    raise ScenarioError(f"question_pairs[{k}]: unknown act {e!r}")
-                resolved.append(label_to_index[e])
-            else:
-                raise ScenarioError(f"question_pairs[{k}]: bad act reference {e!r}")
-        pairs.append((resolved[0], resolved[1]))
+    return Scenario(name, events, tuple(acts), tuple(constraints), tuple(pairs))
 
-    return Scenario(
-        name=name,
-        events=events,
-        acts=tuple(acts),
-        constraints=tuple(constraints),
-        question_pairs=tuple(pairs),
-    )
+
+def read_text(path, what: str) -> str:
+    """The text of a file, decoded as UTF-8 with an optional byte-order mark.
+
+    Raises
+    ------
+    ScenarioError
+        ``cannot read <what> <path>: <reason>`` if the file cannot be
+        opened or is not UTF-8.
+    """
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ScenarioError(f"cannot read {what} {path}: {exc}") from None
 
 
 def load_scenario_file(path) -> Scenario:
     """Read and parse a scenario JSON file."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ScenarioError(f"scenario file {str(path)!r} is not UTF-8 text: {exc}") from None
-    return load_scenario(text)
+    return load_scenario(read_text(path, "scenario file"))
 
 
 def resolve_scenario(name_or_path: str) -> Scenario:

@@ -313,10 +313,10 @@ def solve(
     """
     system = ResidualSystem(scenario, target, u)
     rng = np.random.default_rng(config.seed)
-    starts = system.initial_points(rng, config.restarts)
     best = None
     for index in range(config.restarts):
-        fit = least_squares(system.residuals, starts[index], system.jacobian, config.max_iterations)
+        start = system.initial_points(rng, 1)[0]  # one bulk draw's stream, in memory that does not grow
+        fit = least_squares(system.residuals, start, system.jacobian, config.max_iterations)
         cost = float(np.sum(fit.fun**2))
         w1, w2 = system.states(fit.x)
         residuals = _named_residuals(scenario, w1, w2, target, *system.gaps)

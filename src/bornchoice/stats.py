@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
-from .scenarios import DATA_DIR, ExperimentCounts, Scenario, ScenarioError, builtin
+from .scenarios import DATA_DIR, ExperimentCounts, Scenario, ScenarioError, builtin, read_text
 
 # a published value counts as reproduced when some variant lands within
 # this relative distance of it
@@ -380,11 +380,7 @@ def load_counts_csv(path: Union[str, Path]) -> list[tuple[Optional[str], Experim
     (scenario label or None, counts) per data row.
     """
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ScenarioError(f"cannot read counts file {path}: {exc}") from exc
-    reader = csv.DictReader(text.splitlines())
+    reader = csv.DictReader(read_text(path, "counts file").splitlines())
     header = reader.fieldnames or []
     missing = [c for c in COUNT_COLUMNS if c not in header]
     if missing:

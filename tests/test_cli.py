@@ -136,6 +136,37 @@ def test_solve_unreachable_target_exits_2(capsys):
     assert "did NOT converge" in out
 
 
+def _count_draws(monkeypatch, limit):
+    """Record the ``count`` of each start draw; fail past ``limit`` draws instead of running on."""
+    draw = solver.ResidualSystem.initial_points
+    counts = []
+
+    def counted(self, rng, count):
+        counts.append(count)
+        if len(counts) > limit:
+            pytest.fail(f"more than {limit} start draws")
+        return draw(self, rng, count)
+
+    monkeypatch.setattr(solver.ResidualSystem, "initial_points", counted)
+    return counts
+
+
+def test_solve_draws_each_start_when_its_restart_runs(capsys, monkeypatch):
+    counts = _count_draws(monkeypatch, limit=4)
+    # |W(f1) - W(f2)| is capped by u(100) * (2/3), so 20 is out of reach and every restart runs
+    code, _, _ = run(capsys, ["solve", "--scenario", "ellsberg3", "--d1", "20", "--restarts", "4",
+                              "--format", "json"])
+    assert code == 2
+    assert counts == [1, 1, 1, 1]
+    counts.clear()
+    # so a restart budget far beyond memory costs nothing when restart 0 converges
+    code, out, _ = run(capsys, ["solve", "--scenario", "ellsberg3", "--restarts", "1000000000000000",
+                                "--format", "json"])
+    assert code == 0
+    assert json.loads(out)["restarts_used"] == 1
+    assert counts == [1]
+
+
 def test_solve_rejects_bad_utility(capsys):
     code, _, err = run(capsys, ["solve", "--scenario", "ellsberg3", "--utility", "bogus"])
     assert code == 64
@@ -428,6 +459,46 @@ def test_analyze_counts_file_not_utf8_is_data_error(capsys, tmp_path):
     assert code == 65
     assert out == ""
     assert err.count("\n") == 1 and "cannot read" in err
+
+
+def _deeply_nested(tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    return path
+
+
+def _counts_labelled(scenario_path):
+    path = scenario_path.parent / "counts.csv"
+    path.write_text(f"scenario,n_f1f4,n_f1f3,n_f2f3,n_f2f4\n{scenario_path},1,2,3,4\n")
+    return path
+
+
+@pytest.mark.parametrize("argv", [
+    lambda deep: ["feasibility", "f1>f2,f4>f3", "--scenario", str(deep)],
+    # a counts row label names a scenario file like --scenario does
+    lambda deep: ["analyze", "--counts", str(_counts_labelled(deep))],
+], ids=["feasibility-scenario", "analyze-row-label"])
+def test_deeply_nested_scenario_file_exits_65(capsys, tmp_path, argv):
+    code, out, err = run(capsys, argv(_deeply_nested(tmp_path)))
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and "nested too deeply" in err
+
+
+def test_files_may_start_with_a_byte_order_mark(capsys, tmp_path):
+    scenario = tmp_path / "bom.json"
+    scenario.write_text(builtin("ellsberg3").serialize(), encoding="utf-8-sig")
+    counts = tmp_path / "bom.csv"
+    bundled = ROOT / "src" / "bornchoice" / "data" / "table5.csv"
+    counts.write_text(bundled.read_text(encoding="utf-8"), encoding="utf-8-sig")
+    assert scenario.read_bytes().startswith(b"\xef\xbb\xbf") and counts.read_bytes().startswith(b"\xef\xbb\xbf")
+    feasibility = ["feasibility", "f1>f2,f3>f4", "--scenario"]
+    for with_bom, without in (
+        (feasibility + [str(scenario)], feasibility + ["ellsberg3"]),
+        (["analyze", "--counts", str(counts)], ["analyze"]),
+    ):
+        for fmt in ("human", "json"):
+            assert run(capsys, with_bom + ["--format", fmt]) == run(capsys, without + ["--format", fmt])
 
 
 @pytest.mark.parametrize("content, message", [

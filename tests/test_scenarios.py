@@ -177,6 +177,94 @@ def test_act_and_event_lookup():
         s.event_index("G")
 
 
+# each maps the scenario's labels of one kind to a reference that names none of them
+BAD_REFERENCES = {
+    "negative": lambda labels: -1,
+    "past-the-end": len,
+    "bool": lambda labels: True,
+    "float": lambda labels: 1.5,
+    "none": lambda labels: None,
+    "unknown-label": lambda labels: "nope",
+}
+
+
+@pytest.mark.parametrize("bad", BAD_REFERENCES.values(), ids=BAD_REFERENCES.keys())
+def test_bad_references_rejected_alike_on_every_route(bad):
+    s = builtin("ellsberg3")
+    act_ref = bad([a.label for a in s.acts])
+    event_ref = bad(s.events)
+    messages = set()
+    for lookup in (s.act, s.act_index):
+        with pytest.raises(ScenarioError) as direct:
+            lookup(act_ref)
+        messages.add(str(direct.value))
+    assert len(messages) == 1
+    doc = s.to_document()
+    doc["question_pairs"][0][1] = act_ref
+    with pytest.raises(ScenarioError, match="question_pairs\\[0\\]") as loaded:
+        load_scenario(doc)
+    with pytest.raises(ScenarioError, match="question_pairs\\[0\\]") as built:
+        Scenario(s.name, s.events, s.acts, s.constraints, ((0, act_ref), s.question_pairs[1]))
+    assert str(loaded.value) == str(built.value)
+    assert str(loaded.value).endswith(messages.pop())
+
+    with pytest.raises(ScenarioError) as direct:
+        s.event_index(event_ref)
+    doc = s.to_document()
+    doc["constraints"][0]["events"] = [event_ref]
+    with pytest.raises(ScenarioError, match="constraints\\[0\\]") as loaded:
+        load_scenario(doc)
+    assert str(loaded.value).endswith(str(direct.value))
+
+
+@pytest.mark.parametrize("index", [True, 1.5, -1, 3, "W"])
+def test_constraint_indices_resolve_like_event_references(index):
+    # a constraint built in code names events as event_index does, and Scenario resolves them
+    constraints = (
+        ProbabilityConstraint(frozenset({0}), Fraction(1, 3)),
+        ProbabilityConstraint(frozenset({index, 2}), Fraction(2, 3)),
+    )
+    s = builtin("ellsberg3")
+    with pytest.raises(ScenarioError) as direct:
+        s.event_index(index)
+    with pytest.raises(ScenarioError) as built:
+        Scenario("s", s.events, s.acts, constraints, s.question_pairs)
+    assert str(built.value) == f"constraints[1]: {direct.value}"
+
+
+@pytest.mark.parametrize("first", [{"R"}, {"R", 0}], ids=["label", "label-and-its-index"])
+def test_constraint_labels_resolve_to_indices(first):
+    s = builtin("ellsberg3")
+    constraints = (
+        ProbabilityConstraint(frozenset(first), Fraction(1, 3)),
+        ProbabilityConstraint(frozenset({1, 2}), Fraction(2, 3)),
+    )
+    assert Scenario(s.name, s.events, s.acts, constraints, s.question_pairs) == s
+
+
+def test_constraint_label_overlapping_an_index_is_reported():
+    s = builtin("ellsberg3")
+    constraints = (
+        ProbabilityConstraint(frozenset({"R", "Y"}), Fraction(1, 3)),
+        ProbabilityConstraint(frozenset({1, 2}), Fraction(2, 3)),
+    )
+    with pytest.raises(ScenarioError, match="constraints overlap on event 'Y'"):
+        Scenario(s.name, s.events, s.acts, constraints, s.question_pairs)
+
+
+def test_document_constraint_keeps_a_boolean_beside_its_index():
+    # a document's event list is not collapsed to a set before it is resolved: true is not 1
+    doc = builtin("ellsberg3").to_document()
+    doc["constraints"][1]["events"] = [1, True]
+    with pytest.raises(ScenarioError, match="constraints\\[1\\]: bad event reference True"):
+        load_scenario(doc)
+
+
+def test_deeply_nested_document_is_a_scenario_error():
+    with pytest.raises(ScenarioError, match="nested too deeply"):
+        load_scenario("[" * 100_000 + "]" * 100_000)
+
+
 # -- scenario validation -----------------------------------------------
 
 def _acts3():
