@@ -14,10 +14,10 @@ infeasibility, and notes when it does not depend on the utility values.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
+from . import _value_class
 from .scenarios import (
     DEFAULT_UTILITY,
     Act,
@@ -56,7 +56,7 @@ class CertificateError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
+@_value_class
 class ClassicalProbability:
     """A probability per event, honoring the scenario's group constraints.
 
@@ -98,7 +98,7 @@ class ClassicalProbability:
         return f"ClassicalProbability({body})"
 
 
-@dataclass(frozen=True)
+@_value_class
 class PreferencePattern:
     """One relation per question pair: first-strict, second-strict, or indifferent."""
 
@@ -165,7 +165,7 @@ class PreferencePattern:
         return ",".join(parts)
 
 
-@dataclass(frozen=True)
+@_value_class
 class FeasibilityResult:
     """Outcome of a pattern feasibility decision.
 

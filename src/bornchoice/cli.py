@@ -12,22 +12,22 @@ that could not be proven). Output is written once, at the end, to stdout
 or to --out.
 
 Only solve loads numpy, through the solver module; verify-paper,
-feasibility and analyze run on the standard library.
+feasibility and analyze run on the standard library. Each command imports
+what it runs, so besides this module and scenarios, verify-paper loads
+verification, quantum, report and stats; analyze loads stats; feasibility
+loads classical; and csv loads only when a CSV is read or written.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from . import __version__, classical, stats
-from .classical import CertificateError, PatternError
+from . import __version__
 from .scenarios import (
     BUILTIN_NAMES,
     DEFAULT_UTILITY,
@@ -157,6 +157,9 @@ def _emit(args, human: str, payload: dict, csv_rows: Optional[list[dict]] = None
     elif args.format == "csv":
         if csv_rows is None or not csv_rows:
             raise _CliError(EXIT_USAGE, f"csv output is not available for {payload.get('command')}")
+        import csv
+        import io
+
         buffer = io.StringIO()
         writer = csv.DictWriter(buffer, fieldnames=list(csv_rows[0].keys()))
         writer.writeheader()
@@ -273,13 +276,18 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_feasibility(args) -> int:
+    from . import classical
+
     scenario = _scenario(args.scenario)
     u = _utility(args.utility)
     try:
         pattern = classical.PreferencePattern.from_text(scenario, args.pattern)
-    except (PatternError, ScenarioError) as exc:
+    except (classical.PatternError, ScenarioError) as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
-    result = classical.feasibility(scenario, pattern, u)
+    try:
+        result = classical.feasibility(scenario, pattern, u)
+    except classical.CertificateError as exc:
+        raise _CliError(EXIT_INTERNAL, str(exc)) from exc
     payload = {"command": "feasibility", **result.to_dict()}
     csv_row: dict[str, object] = {
         "scenario": result.scenario_name,
@@ -297,6 +305,8 @@ def _cmd_feasibility(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
+    from . import stats
+
     if args.counts is not None and args.cells is not None:
         raise _CliError(EXIT_USAGE, "--counts and --cells are mutually exclusive")
     base_scenario = _scenario(args.scenario) if args.scenario else None
@@ -333,20 +343,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return handlers[args.command](args)
     except _CliError as exc:
-        print(f"bornchoice {args.command}: error: {exc}", file=sys.stderr)
+        kind = "internal error" if exc.code == EXIT_INTERNAL else "error"
+        print(f"bornchoice {args.command}: {kind}: {exc}", file=sys.stderr)
         return exc.code
-    except PatternError as exc:
-        print(f"bornchoice {args.command}: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ScenarioError as exc:
         print(f"bornchoice {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except OSError as exc:
         print(f"bornchoice {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except CertificateError as exc:
-        print(f"bornchoice {args.command}: internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
 
 
 def entry() -> None:

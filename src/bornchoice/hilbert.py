@@ -18,11 +18,11 @@ not, and are re-exported here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
+from . import _value_class
 from .report import CheckLine, ValidationReport
 
 Complex = complex
@@ -64,7 +64,7 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class(eq=False)
 class Ket:
     """Vector of complex amplitudes in C^dim.
 
@@ -109,7 +109,7 @@ def basis_ket(dim: int, index: int) -> Ket:
     return Ket(amps)
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class(eq=False)
 class HermitianOp:
     """Dense Hermitian operator on C^dim.
 
@@ -139,7 +139,6 @@ class HermitianOp:
         return f"{type(self).__name__}(dim={self.dim})"
 
 
-@dataclass(frozen=True, eq=False, repr=False)
 class Projector(HermitianOp):
     """Orthogonal projector: Hermitian and idempotent (M M = M within 1e-12)."""
 
@@ -149,9 +148,6 @@ class Projector(HermitianOp):
         dev = float(np.max(np.abs(arr @ arr - arr)))
         if dev > CONSTRUCTION_TOL:
             raise HilbertError(f"matrix is not idempotent: max |MM - M| = {dev:.3e} > {CONSTRUCTION_TOL:.0e}")
-
-    def __repr__(self) -> str:
-        return f"Projector(dim={self.dim})"
 
 
 def identity_op(dim: int) -> HermitianOp:
@@ -178,7 +174,7 @@ def rank_one_projector(v: Ket) -> Projector:
     return Projector(np.outer(v.amplitudes, v.amplitudes.conj()) / n2)
 
 
-@dataclass(frozen=True, eq=False)
+@_value_class(eq=False)
 class SpectralFamily:
     """Collection of projectors intended to be mutually orthogonal and complete.
 

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence, Union
 
-from .classical import ClassicalProbability
+from . import _value_class
 from .scenarios import (
     DEFAULT_UTILITY,
     Act,
@@ -33,6 +32,7 @@ from .scenarios import (
 )
 
 if TYPE_CHECKING:
+    from .classical import ClassicalProbability
     from .hilbert import Ket
 
 # polar inputs are snapped onto the constraint surface when they are
@@ -42,7 +42,7 @@ SNAP_TOL = 5e-3
 INDIFFERENCE_BAND = 1e-9
 
 
-@dataclass(frozen=True)
+@_value_class
 class QuantumState:
     """Belief vector in polar form over a scenario's event basis.
 
@@ -183,6 +183,8 @@ def initial_state(scenario: Scenario) -> QuantumState:
 
 def subjective_probabilities(state: QuantumState) -> ClassicalProbability:
     """The squared-modulus probability of each event, as a classical assignment."""
+    from .classical import ClassicalProbability
+
     return ClassicalProbability(state.scenario, state.probabilities())
 
 

@@ -1,15 +1,15 @@
 """Validation reports: named deviations checked against tolerances.
 
-Plain dataclasses on the standard library, shared by the Hilbert-space
-structural checks and the state-pair verification.
+Immutable value classes on the standard library, shared by the
+Hilbert-space structural checks and the state-pair verification.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from . import _value_class
 
 
-@dataclass(frozen=True)
+@_value_class
 class CheckLine:
     """One named deviation with its tolerance verdict."""
 
@@ -25,7 +25,7 @@ class CheckLine:
         return {"name": self.name, "deviation": self.deviation, "tolerance": self.tolerance, "passed": self.passed}
 
 
-@dataclass(frozen=True)
+@_value_class
 class ValidationReport:
     """Outcome of a structural validation, one line per checked property."""
 

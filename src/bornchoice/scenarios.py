@@ -19,9 +19,10 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
+
+from . import _value_class
 
 if TYPE_CHECKING:
     import numpy as np
@@ -38,7 +39,7 @@ class ScenarioError(ValueError):
 MONOTONICITY_GRID = 101
 
 
-@dataclass(frozen=True)
+@_value_class
 class UtilityFunction:
     """Strictly increasing map from dollar payoffs to utility values.
 
@@ -161,7 +162,7 @@ class UtilityFunction:
 DEFAULT_UTILITY = UtilityFunction.sqrt()
 
 
-@dataclass(frozen=True)
+@_value_class
 class Act:
     """A named act: one finite dollar payoff per elementary event."""
 
@@ -182,7 +183,7 @@ class Act:
         return len(self.payoffs)
 
 
-@dataclass(frozen=True)
+@_value_class
 class ProbabilityConstraint:
     """Fixed total probability over events, stored exactly; a Scenario resolves labels to indices."""
 
@@ -216,7 +217,7 @@ def _resolve(ref: Union[str, int], labels: Sequence[str], kind: str) -> int:
     raise ScenarioError(f"bad {kind} reference {ref!r}; expected a label or a 0-based index")
 
 
-@dataclass(frozen=True)
+@_value_class
 class Scenario:
     """Events, acts, exact probability constraints, and question pairs.
 
@@ -438,8 +439,12 @@ def read_text(path, what: str) -> str:
 
 
 def load_scenario_file(path) -> Scenario:
-    """Read and parse a scenario JSON file."""
-    return load_scenario(read_text(path, "scenario file"))
+    """Read and parse a scenario JSON file; a fault in it is reported after ``scenario file <path>:``."""
+    text = read_text(path, "scenario file")
+    try:
+        return load_scenario(text)
+    except ScenarioError as exc:
+        raise ScenarioError(f"scenario file {path}: {exc}") from None
 
 
 def resolve_scenario(name_or_path: str) -> Scenario:
@@ -495,7 +500,7 @@ def act_operator(scenario: Scenario, act: Union[Act, str, int], u: UtilityFuncti
     return HermitianOp(np.diag(utility_values(scenario, act, u).astype(np.complex128)))
 
 
-@dataclass(frozen=True)
+@_value_class
 class ExperimentCounts:
     """Cell counts of the four answer combinations of a two-question experiment.
 

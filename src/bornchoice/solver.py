@@ -18,10 +18,10 @@ here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _value_class
 from .quantum import QuantumState
 from .scenarios import DEFAULT_UTILITY, Scenario, ScenarioError, UtilityFunction, utility_differences
 
@@ -41,7 +41,7 @@ METHOD_DESCRIPTION = (
     "hyperspherical moduli and free phases (first event's phase gauge-fixed to 0)"
 )
 
-@dataclass(frozen=True)
+@_value_class
 class SolverConfig:
     """Restart cap, seed, and convergence thresholds; fixed config gives identical output.
 
@@ -64,7 +64,7 @@ class SolverConfig:
         check_tolerance(self.residual_tolerance)
 
 
-@dataclass(frozen=True)
+@_value_class
 class SolveResult:
     """Best state pair found, its per-equation residuals, and search metadata.
 
@@ -240,7 +240,7 @@ MU_CEILING = 1e16
 STEP_RTOL = float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
+@_value_class
 class Fit:
     """End point of one restart: the parameters and their residuals."""
 
@@ -356,7 +356,10 @@ def explore_solution_family(
     found: list[SolveResult] = []
     profiles: list[np.ndarray] = []
     for offset in range(count):
-        result = solve(scenario, target, u, replace(config, seed=config.seed + offset))
+        seeded = SolverConfig(
+            config.restarts, config.seed + offset, config.max_iterations, config.residual_tolerance
+        )
+        result = solve(scenario, target, u, seeded)
         if not result.converged:
             continue
         mu = np.array(result.w1.probabilities() + result.w2.probabilities())

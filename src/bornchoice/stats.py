@@ -13,12 +13,11 @@ cell table are flagged wholesale as internally inconsistent.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+from . import _value_class
 from .scenarios import DATA_DIR, ExperimentCounts, Scenario, ScenarioError, builtin, read_text
 
 # a published value counts as reproduced when some variant lands within
@@ -56,7 +55,7 @@ _PUBLISHED_STATS: dict[str, dict[str, float]] = {
 }
 
 
-@dataclass(frozen=True)
+@_value_class
 class Flag:
     """A published value that the computed analysis does not reproduce."""
 
@@ -68,7 +67,7 @@ class Flag:
         return {"quantity": self.quantity, "published": self.published, "message": self.message}
 
 
-@dataclass(frozen=True)
+@_value_class
 class StatsReport:
     """Full analysis of one cell table, with variant p-values and discrepancy flags."""
 
@@ -379,6 +378,8 @@ def load_counts_csv(path: Union[str, Path]) -> list[tuple[Optional[str], Experim
     ``n_total`` column is validated against the cell sum. Returns
     (scenario label or None, counts) per data row.
     """
+    import csv
+
     path = Path(path)
     reader = csv.DictReader(read_text(path, "counts file").splitlines())
     header = reader.fieldnames or []

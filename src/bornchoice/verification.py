@@ -15,10 +15,9 @@ runs on the standard library; the search itself is in
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
-from . import stats
+from . import _value_class, stats
 from .quantum import QuantumState, overlap, state_from_polar
 from .report import CheckLine, ValidationReport
 from .scenarios import (
@@ -32,7 +31,7 @@ from .scenarios import (
 )
 
 
-@dataclass(frozen=True)
+@_value_class
 class SolveTarget:
     """Two act pairs with target expectation differences, plus an orthogonality switch."""
 
@@ -66,7 +65,7 @@ class SolveTarget:
                     f"scenario {scenario.name!r} has no default targets; pass d1 and d2 explicitly"
                 )
             counts = dict(stats.load_counts_csv(stats.BUNDLED_COUNTS))[scenario.name]
-            defaults = stats.preference_weights(counts, scenario.name)
+            defaults = stats.preference_weights(counts, scenario)
             d1 = defaults[0] if d1 is None else d1
             d2 = defaults[1] if d2 is None else d2
         (a1, b1), (a2, b2) = scenario.question_pairs
@@ -152,7 +151,7 @@ def verify(
     )
 
 
-@dataclass(frozen=True)
+@_value_class
 class PaperSolution:
     """A published solution pair: printed polar values plus snapped states and targets."""
 

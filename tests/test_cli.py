@@ -15,7 +15,7 @@ import pytest
 
 from test_classical import assert_verdict_proven
 
-from bornchoice import classical, quantum, solver
+from bornchoice import classical, quantum, scenarios, solver
 from bornchoice.cli import EXIT_INTERNAL, main
 from bornchoice.scenarios import BUILTIN_NAMES, builtin
 
@@ -36,6 +36,19 @@ def test_verify_paper_all_pass(capsys):
     assert "overall: 4/4 scenarios pass" in out
     for name in ("ellsberg3", "machina5051", "reflection_lower", "reflection_upper"):
         assert f"scenario {name}: PASS" in out
+
+
+@pytest.mark.parametrize("argv, files", [
+    (["verify-paper"], 4),
+    (["solve", "--scenario", "ellsberg3", "--restarts", "1"], 1),
+])
+def test_each_builtin_file_is_parsed_once(capsys, monkeypatch, argv, files):
+    loads = []
+    real = scenarios.load_scenario_file
+    monkeypatch.setattr(scenarios, "load_scenario_file", lambda path: loads.append(path) or real(path))
+    code, _, err = run(capsys, argv)
+    assert code == 0, err
+    assert len(loads) == len(set(loads)) == files
 
 
 def test_verify_paper_single_scenario(capsys):
@@ -485,6 +498,24 @@ def test_deeply_nested_scenario_file_exits_65(capsys, tmp_path, argv):
     assert err.count("\n") == 1 and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("text, fault", [
+    ("{", "scenario document is not valid JSON: "),
+    ("[" * 100_000 + "]" * 100_000, "scenario document is nested too deeply to parse"),
+    ('{"name": "x", "events": ["R"]}', "scenario 'x': missing field 'acts'"),
+], ids=["not-json", "over-nested", "missing-field"])
+@pytest.mark.parametrize("argv", [
+    lambda bad: ["feasibility", "f1>f2,f4>f3", "--scenario", str(bad)],
+    lambda bad: ["analyze", "--counts", str(_counts_labelled(bad))],
+], ids=["feasibility-scenario", "analyze-row-label"])
+def test_scenario_file_faults_name_the_file(capsys, tmp_path, argv, text, fault):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, argv(bad))
+    assert code == 65
+    assert out == ""
+    assert err.count("\n") == 1 and f"error: scenario file {bad}: {fault}" in err
+
+
 def test_files_may_start_with_a_byte_order_mark(capsys, tmp_path):
     scenario = tmp_path / "bom.json"
     scenario.write_text(builtin("ellsberg3").serialize(), encoding="utf-8-sig")
@@ -607,6 +638,27 @@ def test_only_solve_imports_numpy():
         "feasibility f1>f2,f4>f3": False, "feasibility f1=f2,f4=f3": False,
         "verify-paper": False, "solve --scenario": True,
     }
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["verify-paper"], ["cli", "quantum", "report", "scenarios", "stats", "verification"]),
+    (["analyze"], ["cli", "scenarios", "stats"]),
+    (["feasibility", "f1>f2,f4>f3", "--scenario", "ellsberg3"], ["classical", "cli", "scenarios"]),
+])
+def test_each_command_loads_only_its_modules(argv, modules):
+    # one fresh interpreter per command; dataclasses and inspect stay out
+    loaded = _fresh_interpreter(
+        "import contextlib, io, json, sys\n"
+        "unused = ('dataclasses', 'inspect')\n"
+        "bare = {m for m in unused if m in sys.modules}\n"
+        "from bornchoice.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main({argv!r})\n"
+        "print(json.dumps({'code': code,\n"
+        "                  'package': sorted(m for m in sys.modules if m.startswith('bornchoice.')),\n"
+        "                  'added': sorted(m for m in unused if m in sys.modules and m not in bare)}))\n"
+    )
+    assert loaded == {"code": 0, "package": [f"bornchoice.{m}" for m in modules], "added": []}
 
 
 def test_no_command_imports_scipy():

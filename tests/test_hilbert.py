@@ -195,3 +195,31 @@ def test_report_round_trip_dict():
     data = report.to_dict()
     assert data["passed"] is True
     assert all(set(c) == {"name", "deviation", "tolerance", "passed"} for c in data["checks"])
+
+
+def test_operator_values_keep_identity_equality():
+    # numpy entries have no single truth value, so equality is identity
+    made = {
+        "Ket": lambda: ket([1, 0]),
+        "HermitianOp": lambda: identity_op(2),
+        "Projector": lambda: basis_projector(2, [0]),
+        "SpectralFamily": lambda: canonical_family(2),
+    }
+    for name, make in made.items():
+        first, second = make(), make()
+        assert type(first).__name__ == name
+        assert first == first and first != second
+        assert hash(first) == object.__hash__(first)
+        assert len({first, second}) == 2
+
+
+def test_operator_values_are_read_only_and_named_by_their_own_class():
+    projector = basis_projector(2, [0])
+    assert repr(projector) == "Projector(dim=2)"
+    assert repr(identity_op(2)) == "HermitianOp(dim=2)"
+    with pytest.raises(AttributeError, match="entries"):
+        projector.entries = np.eye(2)
+    with pytest.raises(AttributeError, match="projectors"):
+        del canonical_family(2).projectors
+    with pytest.raises(TypeError, match="missing required argument 'entries'"):
+        Projector()

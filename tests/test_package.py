@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +67,18 @@ def test_verification_layers_load_no_numpy():
         "                          and ValidationReport is bornchoice.report.ValidationReport}))\n"
     )
     assert loaded == {"before": False, "after": True, "same": True}
+
+
+def test_no_source_file_imports_dataclasses():
+    importers = []
+    for path in sorted(Path(bornchoice.__file__).parent.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(module.split(".")[0] == "dataclasses" for module in modules):
+                importers.append(path.name)
+    assert importers == []

@@ -473,3 +473,76 @@ def test_counts_validate_total_and_cells():
         ExperimentCounts(1.5, 2, 3, 4)
     with pytest.raises(ScenarioError, match="at least one participant"):
         ExperimentCounts(0, 0, 0, 0)
+
+
+# -- the value-class contract ------------------------------------------
+
+def test_equal_values_compare_and_hash_equal():
+    pairs = [
+        (ExperimentCounts(1, 2, 3, 4), ExperimentCounts(1, 2, 3, 4, n_total=10)),
+        (UtilityFunction.power(0.5), UtilityFunction("power", alpha=0.5)),
+        (Act("a", [1, 2]), Act(label="a", payoffs=(1.0, 2.0))),
+        (builtin("machina5051"), load_scenario(builtin("machina5051").serialize())),
+    ]
+    for left, right in pairs:
+        assert left is not right
+        assert left == right and not left != right
+        assert hash(left) == hash(right)
+    assert Act("a", [1]) != Act("b", [1])
+    assert ExperimentCounts(1, 2, 3, 4) != (1, 2, 3, 4, 10)
+
+
+def test_fields_are_read_only():
+    act = Act("a", [1, 2])
+    with pytest.raises(AttributeError, match="label"):
+        act.label = "b"
+    with pytest.raises(AttributeError, match="payoffs"):
+        del act.payoffs
+    with pytest.raises(AttributeError):
+        act.extra = 1
+    assert act == Act("a", [1, 2])
+
+
+def test_repr_names_fields_and_the_class():
+    assert repr(Act("a", [1])) == "Act(label='a', payoffs=(1.0,))"
+    assert repr(ExperimentCounts(1, 2, 3, 4)) == (
+        "ExperimentCounts(n_f1f4=1, n_f1f3=2, n_f2f3=3, n_f2f4=4, n_total=10)"
+    )
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: Act("a"), "missing required argument 'payoffs'"),
+    (lambda: Act("a", [1], colour="red"), "unexpected keyword argument 'colour'"),
+    (lambda: Act("a", [1], "extra"), "takes 2 arguments but 3 were given"),
+    (lambda: Act("a", [1], label="b"), "multiple values for argument 'label'"),
+    (lambda: ExperimentCounts(1, 2, 3), "missing required argument 'n_f2f4'"),
+])
+def test_constructor_arguments_are_checked(make, message):
+    with pytest.raises(TypeError, match=message):
+        make()
+
+
+def test_post_init_normalises_fields():
+    assert Act("a", [1, "2.5"]).payoffs == (1.0, 2.5)
+    assert ExperimentCounts(1, 2, 3, 4).n_total == 10
+    assert UtilityFunction.from_table({4: 2, 1: 1}).table == ((1.0, 1.0), (4.0, 2.0))
+    constraint = ProbabilityConstraint([0, 1], "1/3")
+    assert constraint.event_indices == (0, 1) and constraint.total == Fraction(1, 3)
+
+
+def test_subclass_inherits_fields_and_post_init():
+    from bornchoice import _value_class
+
+    @_value_class
+    class WeightedAct(Act):
+        weight: float = 1.0
+
+    act = WeightedAct("a", [1, 2], weight=2.0)
+    assert (act.label, act.payoffs, act.weight) == ("a", (1.0, 2.0), 2.0)
+    assert WeightedAct("a", [1, 2]).weight == 1.0
+    assert repr(act) == "WeightedAct(label='a', payoffs=(1.0, 2.0), weight=2.0)"
+    assert act != Act("a", [1, 2])
+    with pytest.raises(ScenarioError, match="finite"):
+        WeightedAct("a", [math.inf])
+    with pytest.raises(AttributeError):
+        act.weight = 3.0

@@ -115,6 +115,32 @@ def test_solver_config_validation():
         SolverConfig(residual_tolerance=0.0)
 
 
+def test_explore_family_seeds_an_equal_config_per_offset(monkeypatch):
+    seen = []
+    monkeypatch.setattr(solver, "solve", lambda s, t, u, config: seen.append(config) or SimpleNamespace(converged=False))
+    s = builtin("ellsberg3")
+    config = SolverConfig(restarts=3, seed=5, max_iterations=7, residual_tolerance=1e-6)
+    assert explore_solution_family(s, SolveTarget.for_scenario(s), config=config, count=3) == []
+    assert seen == [
+        SolverConfig(restarts=3, seed=seed, max_iterations=7, residual_tolerance=1e-6) for seed in (5, 6, 7)
+    ]
+
+
+def test_value_objects_copy_with_changed_fields_through_the_standard_library():
+    # the benchmark's checker self-tests corrupt results this way
+    import dataclasses
+
+    s = builtin("ellsberg3")
+    result = solve(s, SolveTarget.for_scenario(s), config=SolverConfig(restarts=1))
+    moved = dataclasses.replace(result, converged=not result.converged)
+    assert moved.converged is not result.converged and moved.w1 is result.w1
+    assert dataclasses.replace(moved, converged=result.converged) == result
+    phases = (0.0,) + result.w2.phases[1:]
+    assert dataclasses.replace(result.w2, phases=phases).phases == phases
+    with pytest.raises(ScenarioError, match="restarts"):
+        dataclasses.replace(SolverConfig(), restarts=0)
+
+
 @pytest.mark.parametrize("tol", [math.inf, math.nan])
 def test_solver_config_rejects_non_finite_tolerance(tol):
     with pytest.raises(ScenarioError, match="residual_tolerance must be finite and positive"):
