@@ -25,6 +25,7 @@ from .scenarios import (
     ScenarioError,
     UtilityFunction,
     act_utilities,
+    support,
     utility_differences,
 )
 
@@ -328,11 +329,6 @@ def _signed_conditions(
     return out
 
 
-def _support(groups, v: Sequence[Fraction]) -> Fraction:
-    """h(v) = sum_G t_G max_{i in G} v_i, the largest value of v . p on the polytope."""
-    return sum((t * max(v[i] for i in indices) for indices, t in groups), Fraction(0))
-
-
 def _mix_to_zero(p: list[Fraction], sp: Fraction, q: list[Fraction], sq: Fraction) -> list[Fraction]:
     """The point of the segment [p, q] where an affine value, sp <= 0 at p and sq >= 0 at q, is zero."""
     theta = Fraction(1) if sp == sq else sq / (sq - sp)
@@ -353,7 +349,7 @@ def _line_minimum(groups, a, b, ends: Optional[tuple[Fraction, Fraction]] = None
         candidates.update((a[j] - a[i]) / (b[i] - b[j]) for i in indices for j in indices if b[i] > b[j])
     if ends:
         candidates = {w for w in candidates if ends[0] <= w <= ends[1]}
-    values = {w: _support(groups, [x + w * y for x, y in zip(a, b)]) for w in candidates}
+    values = {w: support(groups, [x + w * y for x, y in zip(a, b)]) for w in candidates}
     w = min(sorted(values), key=values.__getitem__)
     lo, hi = [Fraction(0)] * len(a), [Fraction(0)] * len(a)
     for indices, total in groups:
@@ -380,7 +376,7 @@ def _decide(scenario: Scenario, conditions):
     weights = [Fraction(0)] * len(c)
     b = c[equal[-1]] if equal else [Fraction(0)] * scenario.n_events
     for sign in (1, -1):
-        if _support(groups, [sign * x for x in b]) < 0:
+        if support(groups, [sign * x for x in b]) < 0:
             weights[equal[-1]] = Fraction(sign)
             return None, tuple(weights), None
     # a is a strict entry, or the first of two indifferences from both sides, or 0
@@ -429,7 +425,7 @@ def _certifies(scenario: Scenario, conditions, weights: Sequence[Fraction]) -> b
             strict_total += w
         for i, c in enumerate(coeffs):
             g[i] += w * Fraction(c)
-    return _support(scenario.groups(), g) < Fraction(STRICT_MARGIN) * strict_total
+    return support(scenario.groups(), g) < Fraction(STRICT_MARGIN) * strict_total
 
 
 def _infeasibility_certificate(scenario: Scenario, conditions, margin: Optional[float]) -> str:

@@ -265,6 +265,10 @@ def _cmd_solve(args) -> int:
         "d1": target.d1,
         "d2": target.d2,
     }
+    if result.certificate is not None:
+        c = result.certificate
+        csv_row.update(certificate_pair="-".join(c.pair), certificate_target=c.target,
+                       certificate_lower=c.lower, certificate_upper=c.upper)
     for key, value in result.residuals.items():
         csv_row[f"residual_{key}"] = value
     for tag, state in (("w1", result.w1), ("w2", result.w2)):

@@ -41,6 +41,9 @@ SNAP_TOL = 5e-3
 
 INDIFFERENCE_BAND = 1e-9
 
+# a state's squared moduli must sum to each group's exact total within this
+GROUP_SUM_TOL = 1e-12
+
 
 @_value_class
 class QuantumState:
@@ -76,7 +79,7 @@ class QuantumState:
             raise ScenarioError(f"squared moduli sum to {norm_sq!r}, state is not a unit vector")
         for indices, total in self.scenario.groups():
             s = sum(moduli[i] ** 2 for i in indices)
-            if not abs(s - float(total)) <= 1e-12:
+            if not abs(s - float(total)) <= GROUP_SUM_TOL:
                 labels = [self.scenario.events[i] for i in indices]
                 raise ScenarioError(
                     f"squared moduli of group {labels} sum to {s!r}, constraint requires {float(total)!r}; "

@@ -479,6 +479,16 @@ def utility_differences(
     return tuple(x - y for x, y in zip(act_utilities(scenario, first, u), act_utilities(scenario, second, u)))
 
 
+def support(groups, v: Sequence) -> Fraction | float:
+    """h(v) = sum_G t_G max_{i in G} v_i, the largest value of v . p on the polytope.
+
+    ``groups`` pairs each group's event indices with its total, as
+    :meth:`Scenario.groups` does. Exact totals and rational ``v`` give the
+    exact value; float totals and float ``v`` give it in floats.
+    """
+    return sum(t * max(v[i] for i in indices) for indices, t in groups)
+
+
 def utility_values(scenario: Scenario, act: Union[Act, str, int], u: UtilityFunction) -> np.ndarray:
     """:func:`act_utilities` as a float array."""
     import numpy as np

@@ -9,21 +9,32 @@ parameterization (within-group hyperspherical splits plus free phases),
 so the search is unconstrained least squares over the remaining
 coordinates, solved by a small Levenberg–Marquardt loop in numpy: the
 system has at most four residuals, so each iteration solves one 4×4 (or
-2×2) linear system. Importing this module loads numpy. Targets, the
-residual check of a given pair and the registry of published pairs are
-in :mod:`bornchoice.verification`, which does not, and are re-exported
-here.
+2×2) linear system. Before any search, a target gap outside the interval
+that any Born-rule state attains is certified unreachable in exact
+arithmetic, and only restart 0 runs on it. Importing this module loads
+numpy. Targets, the residual check of a given pair and the registry of
+published pairs are in :mod:`bornchoice.verification`, which does not,
+and are re-exported here.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
+from typing import Optional
 
 import numpy as np
 
 from . import _value_class
-from .quantum import QuantumState
-from .scenarios import DEFAULT_UTILITY, Scenario, ScenarioError, UtilityFunction, utility_differences
+from .quantum import GROUP_SUM_TOL, QuantumState
+from .scenarios import (
+    DEFAULT_UTILITY,
+    Scenario,
+    ScenarioError,
+    UtilityFunction,
+    support,
+    utility_differences,
+)
 
 # the check of a given pair lives in the numpy-free verification module;
 # its names stay importable from here
@@ -65,13 +76,33 @@ class SolverConfig:
 
 
 @_value_class
+class UnreachableCertificate:
+    """A target gap that no state attains, and the exact bounds of that pair's gap.
+
+    ``lower`` and ``upper`` are the exact ends of the attainable interval
+    of ``pair``'s gap, rounded to floats; ``target`` lies outside them by
+    more than the bound stated in :func:`certify_unreachable`.
+    """
+
+    pair: tuple[str, str]
+    target: float
+    lower: float
+    upper: float
+
+    def to_dict(self) -> dict:
+        return {"pair": list(self.pair), "target": self.target, "lower": self.lower, "upper": self.upper}
+
+
+@_value_class
 class SolveResult:
     """Best state pair found, its per-equation residuals, and search metadata.
 
     ``restarts_used`` is the number of restarts actually run: at most
     ``SolverConfig.restarts``, fewer when a restart converged and the
-    search stopped there. ``best_restart`` is the 0-based index of the
-    winning restart: the converged one, or else the lowest-cost one.
+    search stopped there, and 1 when ``certificate`` is set, which it is
+    only for a target certified unreachable. ``best_restart`` is the
+    0-based index of the winning restart: the converged one, or else the
+    lowest-cost one.
     """
 
     scenario_name: str
@@ -84,9 +115,10 @@ class SolveResult:
     restarts_used: int
     best_restart: int
     method: str = METHOD_DESCRIPTION
+    certificate: Optional[UnreachableCertificate] = None
 
     def to_dict(self) -> dict:
-        return {
+        out = {
             "scenario": self.scenario_name,
             "target": self.target.to_dict(),
             "w1": self.w1.to_dict(),
@@ -98,6 +130,9 @@ class SolveResult:
             "best_restart": self.best_restart,
             "method": self.method,
         }
+        if self.certificate is not None:
+            out["certificate"] = self.certificate.to_dict()
+        return out
 
     def summary(self) -> str:
         lines = [
@@ -105,6 +140,12 @@ class SolveResult:
             f"{'converged' if self.converged else 'did NOT converge'} "
             f"(cost {self.cost:.3e}, best restart {self.best_restart} of {self.restarts_used})"
         ]
+        c = self.certificate
+        if c is not None:
+            lines.append(
+                f"  unreachable: target {c.target:g} on {c.pair[0]}-{c.pair[1]} is outside "
+                f"[{c.lower:.6g}, {c.upper:.6g}], the gaps any state attains"
+            )
         for name, value in self.residuals.items():
             lines.append(f"  residual {name}: {value:+.3e}")
         return "\n".join(lines)
@@ -285,6 +326,48 @@ def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> Fit:
     return Fit(x=x, fun=r)
 
 
+def certify_unreachable(system: ResidualSystem, tol: float) -> Optional[UnreachableCertificate]:
+    """The first target gap no state pair can bring within ``tol`` of its target, or None.
+
+    Question k's gap p·Δ depends only on the probabilities p of wₖ, which
+    lie on the constraint polytope, so it spans exactly [lo, hi] =
+    [−h(−Δ), h(Δ)], with h :func:`scenarios.support`. A solved state holds
+    its group sums only within ``GROUP_SUM_TOL`` (1e-12) of the exact
+    totals, and its residual is summed in floats, so that residual can be
+    nearer the target than [lo, hi] is by up to
+
+        slack = 1e-12·Σ_G max_{i∈G} |Δᵢ| + n·2⁻⁵⁰·max|Δ| + 2⁻⁵²·tol + 2⁻¹⁰⁷⁴
+
+    over n events: the group sums, their float recomputation and the sum
+    of p·Δ, then the rounding of the final difference against ``tol``.
+    The target is certified when its distance to [lo, hi], computed in
+    ``Fraction`` on the rationals the floats Δ and d store, exceeds
+    ``tol + slack``; then no restart can pass the convergence test. The
+    same distance in floats must exceed ``tol`` first; that is looser than
+    the exact test by far more than its own rounding, and keeps the exact
+    arithmetic off reachable targets.
+    """
+    groups = system.scenario.groups()
+    float_groups = [(idx, float(t)) for idx, t in groups]
+    target = system.target
+    for pair, d, gap in zip((target.pair_1, target.pair_2), (target.d1, target.d2), system.gaps):
+        if not (d - support(float_groups, gap) > tol or -support(float_groups, [-x for x in gap]) - d > tol):
+            continue
+        exact = [Fraction(x) for x in gap]
+        lo, hi = -support(groups, [-x for x in exact]), support(groups, exact)
+        distance = max(lo - Fraction(d), Fraction(d) - hi)
+        exact_tol = Fraction(tol)
+        slack = (
+            Fraction(GROUP_SUM_TOL) * sum(max(abs(exact[i]) for i in idx) for idx, _ in groups)
+            + Fraction(len(exact), 2**50) * max(map(abs, exact))
+            + exact_tol / 2**52
+            + Fraction(1, 2**1074)
+        )
+        if distance > exact_tol + slack:
+            return UnreachableCertificate(pair=pair, target=d, lower=float(lo), upper=float(hi))
+    return None
+
+
 def _converged(residuals: dict[str, float], target: SolveTarget, tol: float) -> bool:
     checked = dict(residuals)
     if not target.require_orthogonal:
@@ -310,11 +393,16 @@ def solve(
     the outcome is deterministic for a fixed seed, and ``restarts_used``
     counts the restarts actually run. Non-convergence is reported in the
     result, not raised: the best residuals found are always returned.
+
+    A target that :func:`certify_unreachable` proves out of reach runs
+    restart 0 alone, the same restart 0 as any other solve, and its
+    result carries the certificate.
     """
     system = ResidualSystem(scenario, target, u)
+    certificate = certify_unreachable(system, config.residual_tolerance)
     rng = np.random.default_rng(config.seed)
     best = None
-    for index in range(config.restarts):
+    for index in range(config.restarts if certificate is None else 1):
         start = system.initial_points(rng, 1)[0]  # one bulk draw's stream, in memory that does not grow
         fit = least_squares(system.residuals, start, system.jacobian, config.max_iterations)
         cost = float(np.sum(fit.fun**2))
@@ -336,6 +424,7 @@ def solve(
         cost=cost,
         restarts_used=index + 1,
         best_restart=best_index,
+        certificate=certificate,
     )
 
 
@@ -351,7 +440,8 @@ def explore_solution_family(
     Runs the solver under successive seeds; two solutions count as
     distinct only when their subjective-probability vectors differ by
     more than 1e-3 somewhere (phase-only differences do not separate
-    solutions). Unreachable targets yield an empty list.
+    solutions). Unreachable targets yield an empty list, and a certified
+    one stops the sweep at its first solve.
     """
     found: list[SolveResult] = []
     profiles: list[np.ndarray] = []
@@ -360,6 +450,8 @@ def explore_solution_family(
             config.restarts, config.seed + offset, config.max_iterations, config.residual_tolerance
         )
         result = solve(scenario, target, u, seeded)
+        if result.certificate is not None:
+            return []
         if not result.converged:
             continue
         mu = np.array(result.w1.probabilities() + result.w2.probabilities())

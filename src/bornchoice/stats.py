@@ -13,6 +13,7 @@ cell table are flagged wholesale as internally inconsistent.
 
 from __future__ import annotations
 
+import functools
 import math
 from pathlib import Path
 from typing import Optional, Sequence, Union
@@ -376,11 +377,21 @@ def load_counts_csv(path: Union[str, Path]) -> list[tuple[Optional[str], Experim
 
     An optional ``scenario`` column labels each row; an optional
     ``n_total`` column is validated against the cell sum. Returns
-    (scenario label or None, counts) per data row.
+    (scenario label or None, counts) per data row. The bundled table is
+    read once per process; any other file on every call.
     """
+    path = Path(path)
+    return list(_bundled_rows()) if path == BUNDLED_COUNTS else _read_counts_csv(path)
+
+
+@functools.lru_cache(maxsize=None)
+def _bundled_rows() -> tuple[tuple[Optional[str], ExperimentCounts], ...]:
+    return tuple(_read_counts_csv(BUNDLED_COUNTS))
+
+
+def _read_counts_csv(path: Path) -> list[tuple[Optional[str], ExperimentCounts]]:
     import csv
 
-    path = Path(path)
     reader = csv.DictReader(read_text(path, "counts file").splitlines())
     header = reader.fieldnames or []
     missing = [c for c in COUNT_COLUMNS if c not in header]

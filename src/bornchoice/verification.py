@@ -15,6 +15,7 @@ runs on the standard library; the search itself is in
 from __future__ import annotations
 
 import math
+import sys
 from typing import Optional, Sequence, Union
 
 from . import _value_class, stats
@@ -101,7 +102,11 @@ def _named_residuals(
     d_1: Sequence[float],
     d_2: Sequence[float],
 ) -> dict[str, float]:
-    """Every equation's residual; ``d_1``/``d_2`` are the pairs' gap vectors."""
+    """Every equation's residual; ``d_1``/``d_2`` are the pairs' gap vectors.
+
+    The group keys are interned, so the results of many solves share one
+    string per key.
+    """
     p1 = w1.probabilities()
     p2 = w2.probabilities()
     z = overlap(w1, w2)
@@ -115,8 +120,8 @@ def _named_residuals(
     }
     for idx, t in scenario.groups():
         labels = "".join(scenario.events[i] for i in idx)
-        out[f"group_{labels}_w1"] = sum(p1[i] for i in idx) - float(t)
-        out[f"group_{labels}_w2"] = sum(p2[i] for i in idx) - float(t)
+        out[sys.intern(f"group_{labels}_w1")] = sum(p1[i] for i in idx) - float(t)
+        out[sys.intern(f"group_{labels}_w2")] = sum(p2[i] for i in idx) - float(t)
     return out
 
 

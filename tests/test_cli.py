@@ -38,6 +38,23 @@ def test_verify_paper_all_pass(capsys):
         assert f"scenario {name}: PASS" in out
 
 
+def test_verify_paper_reads_the_bundled_table_once(capsys, monkeypatch):
+    from bornchoice import stats
+
+    stats._bundled_rows.cache_clear()
+    reads = []
+
+    def counted(path, what):
+        reads.append(Path(path).name)
+        return scenarios.read_text(path, what)
+
+    monkeypatch.setattr(stats, "read_text", counted)
+    code, _, _ = run(capsys, ["verify-paper"])
+    assert code == 0
+    # one default-gap target per built-in, all from one parse
+    assert reads == ["table5.csv"]
+
+
 @pytest.mark.parametrize("argv, files", [
     (["verify-paper"], 4),
     (["solve", "--scenario", "ellsberg3", "--restarts", "1"], 1),
@@ -166,11 +183,20 @@ def _count_draws(monkeypatch, limit):
 
 def test_solve_draws_each_start_when_its_restart_runs(capsys, monkeypatch):
     counts = _count_draws(monkeypatch, limit=4)
-    # |W(f1) - W(f2)| is capped by u(100) * (2/3), so 20 is out of reach and every restart runs
-    code, _, _ = run(capsys, ["solve", "--scenario", "ellsberg3", "--d1", "20", "--restarts", "4",
-                              "--format", "json"])
+    # (-3, 0) is inside both gap intervals but no orthogonal pair meets it, so every restart runs
+    code, _, _ = run(capsys, ["solve", "--scenario", "ellsberg3", "--d1", "-3", "--d2", "0",
+                              "--restarts", "4", "--format", "json"])
     assert code == 2
     assert counts == [1, 1, 1, 1]
+    counts.clear()
+    # 20 is outside [-10/3, 10/3], the gaps W(f1) - W(f2) attains: certified, so restart 0 alone runs
+    code, out, _ = run(capsys, ["solve", "--scenario", "ellsberg3", "--d1", "20", "--restarts", "4",
+                                "--format", "json", "--full-precision"])
+    assert code == 2
+    payload = json.loads(out)
+    assert (payload["restarts_used"], payload["best_restart"]) == (1, 0)
+    assert payload["certificate"] == {"pair": ["f1", "f2"], "target": 20.0, "lower": -10 / 3, "upper": 10 / 3}
+    assert counts == [1]
     counts.clear()
     # so a restart budget far beyond memory costs nothing when restart 0 converges
     code, out, _ = run(capsys, ["solve", "--scenario", "ellsberg3", "--restarts", "1000000000000000",
@@ -178,6 +204,18 @@ def test_solve_draws_each_start_when_its_restart_runs(capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["restarts_used"] == 1
     assert counts == [1]
+
+
+def test_solve_csv_row_carries_a_certificate_only_when_certified(capsys):
+    argv = ["solve", "--scenario", "ellsberg3", "--restarts", "2", "--format", "csv", "--full-precision"]
+    code, out, _ = run(capsys, [*argv, "--d1", "20"])
+    assert code == 2
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert (row["certificate_pair"], row["certificate_target"]) == ("f1-f2", "20.0")
+    assert (float(row["certificate_lower"]), float(row["certificate_upper"])) == (-10 / 3, 10 / 3)
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    assert not any(key.startswith("certificate") for key in next(csv.DictReader(io.StringIO(out))))
 
 
 def test_solve_rejects_bad_utility(capsys):

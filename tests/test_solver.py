@@ -3,14 +3,25 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from bornchoice import quantum, solver, stats
-from bornchoice.scenarios import BUILTIN_NAMES, ScenarioError, builtin, load_scenario
+from bornchoice.scenarios import (
+    BUILTIN_NAMES,
+    Act,
+    ProbabilityConstraint,
+    Scenario,
+    ScenarioError,
+    builtin,
+    load_scenario,
+)
 from bornchoice.solver import (
     ResidualSystem,
     SolveTarget,
@@ -117,7 +128,7 @@ def test_solver_config_validation():
 
 def test_explore_family_seeds_an_equal_config_per_offset(monkeypatch):
     seen = []
-    monkeypatch.setattr(solver, "solve", lambda s, t, u, config: seen.append(config) or SimpleNamespace(converged=False))
+    monkeypatch.setattr(solver, "solve", lambda s, t, u, config: seen.append(config) or SimpleNamespace(converged=False, certificate=None))
     s = builtin("ellsberg3")
     config = SolverConfig(restarts=3, seed=5, max_iterations=7, residual_tolerance=1e-6)
     assert explore_solution_family(s, SolveTarget.for_scenario(s), config=config, count=3) == []
@@ -341,6 +352,164 @@ def test_unreachable_best_cost_matches_trf(monkeypatch, name, d1, d2):
     assert result.cost <= reference.cost * (1 + UNREACHABLE_COST_RTOL)
 
 
+# -- certified unreachable targets ---------------------------------------------
+
+def interval_and_bound(groups, gap, tol):
+    """The exact [lo, hi] of p . gap over the polytope and the distance beyond it that certifies.
+
+    Restates the bound of ``solver.certify_unreachable``: tol, plus 1e-12 per
+    group times that group's largest |gap|, plus the rounding terms.
+    """
+    exact = [Fraction(x) for x in gap]
+    lo = sum(t * min(exact[i] for i in idx) for idx, t in groups)
+    hi = sum(t * max(exact[i] for i in idx) for idx, t in groups)
+    slack = (
+        Fraction(1e-12) * sum(max(abs(exact[i]) for i in idx) for idx, _ in groups)
+        + len(exact) * max(abs(x) for x in exact) / 2**50
+        + Fraction(tol) / 2**52
+        + Fraction(1, 2**1074)
+    )
+    return lo, hi, Fraction(tol) + slack
+
+
+def distance(lo, hi, d):
+    return max(lo - Fraction(d), Fraction(d) - hi)
+
+
+@st.composite
+def certify_cases(draw):
+    """A 2-4-event scenario in 1-3 groups, sqrt gaps from integer payoffs, targets near or past the ends."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    k = draw(st.integers(min_value=1, max_value=min(3, n)))
+    cuts = sorted(draw(st.sets(st.integers(min_value=1, max_value=n - 1), min_size=k - 1, max_size=k - 1)))
+    weights = draw(st.lists(st.integers(min_value=1, max_value=9), min_size=k, max_size=k))
+    groups = [
+        (tuple(range(lo, hi)), Fraction(w, sum(weights))) for lo, hi, w in zip([0] + cuts, cuts + [n], weights)
+    ]
+    payoffs = [draw(st.lists(st.integers(min_value=0, max_value=100), min_size=n, max_size=n)) for _ in range(4)]
+    scenario = Scenario(
+        "generated",
+        tuple(f"E{i}" for i in range(n)),
+        tuple(Act(f"f{j + 1}", tuple(p)) for j, p in enumerate(payoffs)),
+        tuple(ProbabilityConstraint(frozenset(idx), t) for idx, t in groups),
+        ((0, 1), (3, 2)),
+    )
+    gaps = [
+        tuple(math.sqrt(x) - math.sqrt(y) for x, y in zip(payoffs[a], payoffs[b])) for a, b in ((0, 1), (3, 2))
+    ]
+    tol = draw(st.sampled_from([1e-12, 1e-8, 1e-6]))
+    targets = []
+    for gap in gaps:
+        lo, hi, bound = interval_and_bound(groups, gap, tol)
+        end = draw(st.sampled_from([lo, hi]))
+        # anywhere near the interval, or past an end by tol plus up to twice the slack
+        slack = float(bound) - tol
+        offset = draw(st.one_of(
+            st.floats(min_value=-5, max_value=5),
+            st.floats(min_value=0, max_value=2).map(lambda r: tol + r * slack),
+        ))
+        targets.append(float(end) + (offset if end == hi else -offset))
+    target = SolveTarget.for_scenario(scenario, d1=targets[0], d2=targets[1])
+    return scenario, groups, gaps, target, tol
+
+
+def expected_certificate(groups, gaps, target, tol):
+    for k, (pair, d, gap) in enumerate(zip((target.pair_1, target.pair_2), (target.d1, target.d2), gaps), 1):
+        lo, hi, bound = interval_and_bound(groups, gap, tol)
+        if distance(lo, hi, d) > bound:
+            return k, solver.UnreachableCertificate(pair, d, float(lo), float(hi))
+    return None, None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=certify_cases())
+def test_certified_exactly_when_the_distance_exceeds_the_bound(case):
+    scenario, groups, gaps, target, tol = case
+    system = ResidualSystem(scenario, target)
+    assert system.gaps == tuple(gaps)
+    assert solver.certify_unreachable(system, tol) == expected_certificate(groups, gaps, target, tol)[1]
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=certify_cases())
+def test_certified_solve_stays_at_least_the_distance_away(case):
+    scenario, groups, gaps, target, tol = case
+    k, certificate = expected_certificate(groups, gaps, target, tol)
+    assume(certificate is not None)
+    result = solve(scenario, target, config=SolverConfig(restarts=4, max_iterations=60, residual_tolerance=tol))
+    assert result.certificate == certificate
+    assert not result.converged and result.restarts_used == 1
+    lo, hi, bound = interval_and_bound(groups, gaps[k - 1], tol)
+    # the residual may sit nearer the target than the interval by the slack, no more
+    assert Fraction(abs(result.residuals[f"target_{k}"])) >= distance(lo, hi, certificate.target) - (
+        bound - Fraction(tol))
+
+
+def test_certification_threshold_to_the_ulp():
+    s = builtin("ellsberg3")
+    tol = SolverConfig().residual_tolerance
+    gap = ResidualSystem(s, SolveTarget.for_scenario(s)).gaps[0]
+    lo, hi, bound = interval_and_bound(s.groups(), gap, tol)
+    assert (lo, hi) == (Fraction(-10, 3), Fraction(10, 3))
+
+    def certified(d):
+        return solver.certify_unreachable(ResidualSystem(s, SolveTarget.for_scenario(s, d1=d)), tol) is not None
+
+    for end, outward in ((hi, math.inf), (lo, -math.inf)):
+        # the first float past the threshold, counted outwards from the end
+        first = float(end + (bound if end == hi else -bound))
+        while distance(lo, hi, first) <= bound:
+            first = math.nextafter(first, outward)
+        while distance(lo, hi, math.nextafter(first, -outward)) > bound:
+            first = math.nextafter(first, -outward)
+        assert certified(first)
+        assert not certified(math.nextafter(first, -outward))
+        assert not certified(float(end))
+        assert not certified(float(end) + (tol if end == hi else -tol))
+
+
+CERTIFIED_CASES = [
+    ("ellsberg3", 20.0, None),
+    ("ellsberg3", 5.0, None),
+    ("ellsberg3", -5.0, None),
+    ("machina5051", None, 4.0),
+    ("reflection_lower", -3.0, None),
+    ("reflection_upper", None, 3.0),
+]
+
+
+@pytest.mark.parametrize("name, d1, d2", CERTIFIED_CASES)
+def test_certified_solve_is_restart_0_of_the_search(name, d1, d2):
+    s = builtin(name)
+    target = SolveTarget.for_scenario(s, d1=d1, d2=d2)
+    result = solve(s, target)
+    assert result.certificate is not None
+    cost, best_index, w1, w2, residuals, converged = reference_solve(s, target, SolverConfig(restarts=1))
+    assert result.w1 == w1 and result.w2 == w2
+    assert result.residuals == residuals
+    assert result.cost == cost
+    assert (result.best_restart, result.restarts_used) == (best_index, 1) == (0, 1)
+    assert result.converged is converged is False
+
+
+def test_reachable_targets_skip_the_exact_check(monkeypatch):
+    def no_fraction(*args):
+        raise AssertionError("the exact check ran on a reachable target")
+
+    monkeypatch.setattr(solver, "Fraction", no_fraction)
+    for name in BUILTIN_NAMES:
+        s = builtin(name)
+        assert solver.certify_unreachable(ResidualSystem(s, SolveTarget.for_scenario(s)), 1e-8) is None
+
+
+def test_residual_keys_of_two_solves_are_the_same_objects():
+    s = builtin("machina5051")
+    target = SolveTarget.for_scenario(s)
+    first, second = (solve(s, target, config=SolverConfig(restarts=1)) for _ in range(2))
+    assert list(first.residuals) == list(second.residuals)
+    assert all(a is b for a, b in zip(first.residuals, second.residuals))
+
+
 def test_solve_is_deterministic():
     s = builtin("ellsberg3")
     target = SolveTarget.for_scenario(s)
@@ -351,15 +520,35 @@ def test_solve_is_deterministic():
 
 def test_solve_unreachable_target_reports_failure():
     s = builtin("ellsberg3")
-    # |W(f1) - W(f2)| is capped by u(100) * (2/3), so 20 is out of reach
+    # (-3, 0) is inside both gap intervals, but the probabilities it fixes
+    # leave one event's sqrt(p1 p2) above the sum of the others', so no
+    # phases make the pair orthogonal and nothing certifies it in advance
+    target = SolveTarget.for_scenario(s, d1=-3.0, d2=0.0)
+    config = SolverConfig(restarts=8, max_iterations=120)
+    result = solve(s, target, config=config)
+    assert not result.converged
+    assert result.certificate is None
+    # no restart converges, so every one of them runs
+    assert result.restarts_used == config.restarts
+    assert "did NOT converge" in result.summary()
+
+
+def test_solve_certified_unreachable_target_runs_restart_0_only():
+    s = builtin("ellsberg3")
+    # W(f1) - W(f2) = 10 p(R) - 10 p(B) lies in [-10/3, 10/3], so 20 is out of reach
     target = SolveTarget.for_scenario(s, d1=20.0)
     config = SolverConfig(restarts=8, max_iterations=120)
     result = solve(s, target, config=config)
     assert not result.converged
-    # no restart converges, so every one of them runs
-    assert result.restarts_used == config.restarts
+    assert (result.restarts_used, result.best_restart) == (1, 0)
+    assert result.certificate == solver.UnreachableCertificate(("f1", "f2"), 20.0, -10 / 3, 10 / 3)
     assert abs(result.residuals["target_1"]) > 1.0
     assert "did NOT converge" in result.summary()
+    assert "unreachable: target 20 on f1-f2 is outside [-3.33333, 3.33333], the gaps any state attains" in (
+        result.summary())
+    assert result.to_dict()["certificate"] == {"pair": ["f1", "f2"], "target": 20.0,
+                                               "lower": -10 / 3, "upper": 10 / 3}
+    assert "certificate" not in solve(s, SolveTarget.for_scenario(s), config=config).to_dict()
 
 
 def test_solve_without_orthogonality_requirement():
@@ -399,11 +588,13 @@ def test_solve_with_more_residuals_than_parameters():
     assert result.converged, result.summary()
     assert result.restarts_used == 1
     assert verify(SINGLETONS, result.w1, result.w2, system.target, tol=1e-8).passed
-    # a gap of 1 is out of reach: reported, not raised
+    # a gap of 1 is out of reach, since p . (1, -1) = 0 on the only admissible p:
+    # certified, so restart 0 alone runs, and reported, not raised
     target = SolveTarget.for_scenario(SINGLETONS, d1=1.0, d2=0.0)
     result = solve(SINGLETONS, target)
     assert not result.converged
-    assert result.restarts_used == 64
+    assert result.restarts_used == 1
+    assert (result.certificate.lower, result.certificate.upper) == (0.0, 0.0)
     assert result.residuals["target_1"] == pytest.approx(-1.0, abs=1e-12)
     assert abs(result.residuals["overlap_re"]) <= 1e-8 and abs(result.residuals["overlap_im"]) <= 1e-8
 
@@ -530,10 +721,15 @@ def test_explore_family_finds_distinct_solutions():
             assert float(np.max(np.abs(profiles[i] - profiles[j]))) > 1e-3
 
 
-def test_explore_family_empty_for_unreachable_target():
+def test_explore_family_empty_for_unreachable_target(monkeypatch):
+    calls = []
+    real_solve = solver.solve
+    monkeypatch.setattr(solver, "solve", lambda *args: calls.append(args) or real_solve(*args))
     s = builtin("ellsberg3")
     target = SolveTarget.for_scenario(s, d1=20.0)
     family = explore_solution_family(
         s, target, config=SolverConfig(restarts=2, max_iterations=80), count=2
     )
     assert family == []
+    # the first solve certifies the target, so no other seed is tried
+    assert len(calls) == 1

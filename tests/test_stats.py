@@ -412,6 +412,20 @@ def test_load_counts_csv_total_mismatch(tmp_path):
         load_counts_csv(path)
 
 
+def test_load_counts_csv_reads_a_user_file_on_every_call(tmp_path):
+    path = tmp_path / "counts.csv"
+    path.write_text("n_f1f4,n_f1f3,n_f2f3,n_f2f4\n1,2,3,4\n")
+    assert load_counts_csv(path)[0][1].n_total == 10
+    path.write_text("n_f1f4,n_f1f3,n_f2f3,n_f2f4\n1,2,3,5\n")
+    assert load_counts_csv(path)[0][1].n_total == 11
+
+
+def test_load_counts_csv_hands_out_copies_of_the_bundled_rows():
+    first = load_counts_csv(BUNDLED_COUNTS)
+    first.clear()
+    assert len(load_counts_csv(BUNDLED_COUNTS)) == 4
+
+
 def test_load_counts_csv_missing_file(tmp_path):
     with pytest.raises(ScenarioError, match="cannot read"):
         load_counts_csv(tmp_path / "absent.csv")
