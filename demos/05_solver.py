@@ -28,12 +28,12 @@ print("w2 phases (deg):", np.round(result.w2.phases_deg, 2))
 system = solver.ResidualSystem(s, target)
 x0 = system.initial_points(np.random.default_rng(0), 1)[0]
 step = 1e-6
-numeric = np.empty((len(system.residuals(x0)), x0.size))
-for j in range(x0.size):
-    up, down = x0.copy(), x0.copy()
+numeric = np.empty((system.n_residuals, system.n_params))
+for j in range(system.n_params):
+    up, down = list(x0), list(x0)
     up[j] += step
     down[j] -= step
-    numeric[:, j] = (system.residuals(up) - system.residuals(down)) / (2 * step)
+    numeric[:, j] = np.subtract(system.residuals(up), system.residuals(down)) / (2 * step)
 print("max Jacobian deviation at a random point:",
       f"{np.max(np.abs(numeric - system.jacobian(x0))):.2e}")
 

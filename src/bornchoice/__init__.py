@@ -9,12 +9,12 @@ least-squares solver for orthogonal state pairs hitting target utility
 gaps, and the statistics of a paired-choice experiment.
 
 Each public name loads its submodule on first access, so ``import
-bornchoice`` loads no submodule and no numpy. ``classical``, ``stats``,
-``scenarios``, ``quantum``, ``report`` and ``verification`` run on the
-standard library (``utility_values``, ``act_operator``,
-``QuantumState.ket``, ``quantum.expected_utility`` and
-``quantum.preference`` load numpy when called); ``hilbert`` and
-``solver`` load numpy.
+bornchoice`` loads no submodule and no numpy. Every submodule but
+``hilbert`` runs on the standard library, ``solver`` included; numpy is
+loaded only by the Hilbert operator API: ``hilbert`` itself and, when
+called, ``utility_values``, ``act_operator``, ``Scenario.payoff_matrix``,
+``ClassicalProbability.as_array``, ``QuantumState.ket``,
+``quantum.expected_utility`` and ``quantum.preference``.
 """
 
 from __future__ import annotations

@@ -11,11 +11,13 @@ Exit codes: 0 success, 1 verification failure, 2 solver non-convergence,
 that could not be proven). Output is written once, at the end, to stdout
 or to --out.
 
-Only solve loads numpy, through the solver module; verify-paper,
-feasibility and analyze run on the standard library. Each command imports
-what it runs, so besides this module and scenarios, verify-paper loads
-verification, quantum, report and stats; analyze loads stats; feasibility
-loads classical; and csv loads only when a CSV is read or written.
+Every command runs on the standard library; none loads numpy. Each
+command imports what it runs, so besides this module and scenarios,
+verify-paper loads verification, quantum, report and stats; analyze loads
+stats; feasibility loads classical; solve loads solver and what it uses;
+and csv loads only when a CSV is read or written. A reader that closes
+stdout before the report is written is not an error: the command exits
+with its own code and prints nothing on stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Optional, Sequence
@@ -150,7 +153,7 @@ def _round_floats(obj, digits: int = 6):
     return obj
 
 
-def _emit(args, human: str, payload: dict, csv_rows: Optional[list[dict]] = None) -> None:
+def _render(args, human: str, payload: dict, csv_rows: Optional[list[dict]] = None) -> str:
     if args.format == "json":
         data = payload if args.full_precision else _round_floats(payload)
         text = json.dumps(data, indent=2)
@@ -168,10 +171,7 @@ def _emit(args, human: str, payload: dict, csv_rows: Optional[list[dict]] = None
         text = buffer.getvalue().rstrip("\n")
     else:
         text = human
-    if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
-    else:
-        print(text)
+    return text
 
 
 def _state_lines(label: str, state: QuantumState) -> list[str]:
@@ -185,7 +185,7 @@ def _state_lines(label: str, state: QuantumState) -> list[str]:
     return lines
 
 
-def _cmd_verify_paper(args) -> int:
+def _cmd_verify_paper(args) -> tuple[int, str]:
     from . import verification
 
     u = _utility(args.utility)
@@ -235,11 +235,11 @@ def _cmd_verify_paper(args) -> int:
         "scenarios": entries,
         "passed": all_passed,
     }
-    _emit(args, "\n".join(human_lines), payload, csv_rows)
-    return EXIT_OK if all_passed else EXIT_VERIFY_FAILED
+    text = _render(args, "\n".join(human_lines), payload, csv_rows)
+    return (EXIT_OK if all_passed else EXIT_VERIFY_FAILED), text
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args) -> tuple[int, str]:
     from . import solver
 
     scenario = _scenario(args.scenario)
@@ -275,11 +275,11 @@ def _cmd_solve(args) -> int:
         for event, modulus, phase in zip(scenario.events, state.moduli, state.phases_deg):
             csv_row[f"{tag}_modulus_{event}"] = modulus
             csv_row[f"{tag}_phase_deg_{event}"] = phase
-    _emit(args, "\n".join(human_lines), payload, [csv_row])
-    return EXIT_OK if result.converged else EXIT_NOT_CONVERGED
+    text = _render(args, "\n".join(human_lines), payload, [csv_row])
+    return (EXIT_OK if result.converged else EXIT_NOT_CONVERGED), text
 
 
-def _cmd_feasibility(args) -> int:
+def _cmd_feasibility(args) -> tuple[int, str]:
     from . import classical
 
     scenario = _scenario(args.scenario)
@@ -304,11 +304,10 @@ def _cmd_feasibility(args) -> int:
         csv_row[f"witness_p_{event}"] = (
             None if result.witness is None else result.witness.to_dict()[event]
         )
-    _emit(args, result.summary(), payload, [csv_row])
-    return EXIT_OK
+    return EXIT_OK, _render(args, result.summary(), payload, [csv_row])
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> tuple[int, str]:
     from . import stats
 
     if args.counts is not None and args.cells is not None:
@@ -331,8 +330,7 @@ def _cmd_analyze(args) -> int:
     ]
     human = "\n\n".join(report.summary() for report in reports)
     payload = {"command": "analyze", "reports": [report.to_dict() for report in reports]}
-    _emit(args, human, payload, stats.report_csv_rows(reports))
-    return EXIT_OK
+    return EXIT_OK, _render(args, human, payload, stats.report_csv_rows(reports))
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -345,7 +343,20 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "analyze": _cmd_analyze,
     }
     try:
-        return handlers[args.command](args)
+        code, text = handlers[args.command](args)
+        if args.out:
+            Path(args.out).write_text(text + "\n", encoding="utf-8")
+        else:
+            print(text, flush=True)
+        return code
+    except BrokenPipeError:
+        # the reader of stdout left early, as in `bornchoice analyze | head -1`:
+        # not an error of the command. stdout goes to devnull, as the Python
+        # docs' SIGPIPE note advises, so the flush at shutdown cannot raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return code
     except _CliError as exc:
         kind = "internal error" if exc.code == EXIT_INTERNAL else "error"
         print(f"bornchoice {args.command}: {kind}: {exc}", file=sys.stderr)

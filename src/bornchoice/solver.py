@@ -7,23 +7,26 @@ the targets: the belief-state pairs that represent an observed joint
 preference pattern. Group constraints and unit norm are built into the
 parameterization (within-group hyperspherical splits plus free phases),
 so the search is unconstrained least squares over the remaining
-coordinates, solved by a small Levenberg–Marquardt loop in numpy: the
-system has at most four residuals, so each iteration solves one 4×4 (or
-2×2) linear system. Before any search, a target gap outside the interval
-that any Born-rule state attains is certified unreachable in exact
-arithmetic, and only restart 0 runs on it. Importing this module loads
-numpy. Targets, the residual check of a given pair and the registry of
-published pairs are in :mod:`bornchoice.verification`, which does not,
-and are re-exported here.
+coordinates, solved by a small Levenberg–Marquardt loop on Python
+floats: the system has at most four residuals, so each iteration solves
+one 4×4 (or 2×2) linear system by Cholesky. Each restart starts from a
+point drawn from ``random.Random(seed)``. Before any search, a target gap
+outside the interval that any Born-rule state attains is certified
+unreachable in exact arithmetic, and only restart 0 runs on it. The
+module runs on the standard library and does not load numpy. Targets,
+the residual check of a given pair and the registry of published pairs
+are in :mod:`bornchoice.verification` and are re-exported here.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
+import operator
+import random
+import sys
 from fractions import Fraction
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Sequence
 
 from . import _value_class
 from .quantum import GROUP_SUM_TOL, QuantumState
@@ -36,8 +39,8 @@ from .scenarios import (
     utility_differences,
 )
 
-# the check of a given pair lives in the numpy-free verification module;
-# its names stay importable from here
+# the check of a given pair lives in the verification module, which
+# verify-paper loads without this one; its names stay importable from here
 from .verification import (  # noqa: F401
     PaperSolution,
     SolveTarget,
@@ -162,7 +165,9 @@ class ResidualSystem:
     1 in state 1 minus d1, gap of pair 2 in state 2 minus d2, and (when
     orthogonality is required) the real and imaginary parts of the
     overlap, so the squared residual norm is exactly the squared overlap
-    magnitude plus the squared target misses.
+    magnitude plus the squared target misses. Points are any sequence of
+    floats; residuals come back as a tuple and the Jacobian as a list of
+    rows.
     """
 
     def __init__(self, scenario: Scenario, target: SolveTarget, u: UtilityFunction = DEFAULT_UTILITY):
@@ -170,7 +175,6 @@ class ResidualSystem:
         self.target = target
         self.u = u
         self.gaps = tuple(utility_differences(scenario, *pair, u) for pair in (target.pair_1, target.pair_2))
-        self.delta_1, self.delta_2 = (np.array(g) for g in self.gaps)
         self.groups = [(list(idx), math.sqrt(float(t))) for idx, t in scenario.groups()]
         self.n_events = scenario.n_events
         self.n_angles = sum(len(idx) - 1 for idx, _ in self.groups)
@@ -178,152 +182,185 @@ class ResidualSystem:
         self.n_params = 2 * self.n_state_params
         self.n_residuals = 4 if target.require_orthogonal else 2
 
-    def initial_points(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        x = rng.uniform(0.0, 1.0, size=(count, self.n_params))
-        for s in range(2):
-            base = s * self.n_state_params
-            x[:, base : base + self.n_angles] *= math.pi / 2
-            x[:, base + self.n_angles : base + self.n_state_params] *= 2 * math.pi
-        return x
+    def initial_points(self, rng, count: int) -> list[tuple[float, ...]]:
+        """``count`` starting points: angles uniform in [0, π/2), phases in [0, 2π).
 
-    def _state_parts(self, x: np.ndarray, which: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Moduli, their Jacobian w.r.t. the angles, and the full phase vector."""
-        base = which * self.n_state_params
-        angles = x[base : base + self.n_angles]
-        phases = np.zeros(self.n_events)
-        phases[1:] = x[base + self.n_angles : base + self.n_state_params]
-        m = np.zeros(self.n_events)
-        dm = np.zeros((self.n_events, self.n_angles))
-        pos = 0
+        ``rng`` is any object whose ``random()`` returns floats in [0, 1);
+        it is read point by point, coordinate by coordinate, so numpy's
+        ``Generator`` gives the points of its bulk ``uniform(0, 1, (count,
+        n_params))`` draw.
+        """
+        scale = ([math.pi / 2] * self.n_angles + [2 * math.pi] * (self.n_events - 1)) * 2
+        return [tuple(rng.random() * s for s in scale) for _ in range(count)]
+
+    def _state_parts(self, x: Sequence[float], base: int) -> tuple[list[float], list[list[float]], list[float]]:
+        """One state's moduli, their derivatives and its phases, from ``x[base : base + n_state_params]``.
+
+        In a group of total t with angles θ₀…θ_{k−2}, event a has modulus
+        √t · sin θ₀ ⋯ sin θ_{a−1} · cos θ_a; the group's last event has no
+        cosine. The derivatives come as one row per angle: ∂mₑ/∂angle for
+        every event e.
+        """
+        m = [0.0] * self.n_events
+        dm = []
+        pos = base
         for idx, sqrt_t in self.groups:
             k = len(idx)
-            local = angles[pos : pos + k - 1]
-            sin = np.sin(local)
-            cos = np.cos(local)
-            for a, event in enumerate(idx):
-                value = sqrt_t
-                for b in range(a):
-                    value *= sin[b]
-                if a < k - 1:
-                    value *= cos[a]
-                m[event] = value
-                for j in range(k - 1):
-                    if j > a:
-                        continue
+            angles = x[pos : pos + k - 1]
+            sin = [math.sin(theta) for theta in angles]
+            cos = [math.cos(theta) for theta in angles]
+            value = sqrt_t
+            for a in range(k - 1):
+                m[idx[a]] = value * cos[a]
+                value *= sin[a]
+            m[idx[-1]] = value
+            for j in range(k - 1):
+                row = [0.0] * self.n_events
+                for a in range(j, k):
                     d = sqrt_t
                     for b in range(a):
                         d *= cos[b] if b == j else sin[b]
                     if a < k - 1:
-                        d *= -sin[a] if j == a else cos[a]
-                    dm[event, pos + j] = d
+                        d *= -sin[a] if a == j else cos[a]
+                    row[idx[a]] = d
+                dm.append(row)
             pos += k - 1
-        return m, dm, phases
+        return m, dm, [0.0, *x[pos : base + self.n_state_params]]
 
-    def residuals(self, x: np.ndarray) -> np.ndarray:
+    def residuals(self, x: Sequence[float]) -> tuple[float, ...]:
         m1, _, ph1 = self._state_parts(x, 0)
-        m2, _, ph2 = self._state_parts(x, 1)
-        r = np.empty(self.n_residuals)
-        r[0] = float(np.dot(m1 * m1, self.delta_1)) - self.target.d1
-        r[1] = float(np.dot(m2 * m2, self.delta_2)) - self.target.d2
-        if self.target.require_orthogonal:
-            z = np.sum(m1 * m2 * np.exp(1j * (ph2 - ph1)))
-            r[2] = z.real
-            r[3] = z.imag
-        return r
+        m2, _, ph2 = self._state_parts(x, self.n_state_params)
+        gap_1 = _dot([m * m for m in m1], self.gaps[0]) - self.target.d1
+        gap_2 = _dot([m * m for m in m2], self.gaps[1]) - self.target.d2
+        if not self.target.require_orthogonal:
+            return gap_1, gap_2
+        z = sum(map(cmath.rect, map(operator.mul, m1, m2), map(operator.sub, ph2, ph1)), 0j)
+        return gap_1, gap_2, z.real, z.imag
 
-    def jacobian(self, x: np.ndarray) -> np.ndarray:
+    def jacobian(self, x: Sequence[float]) -> list[list[float]]:
+        n = self.n_state_params
         m1, dm1, ph1 = self._state_parts(x, 0)
-        m2, dm2, ph2 = self._state_parts(x, 1)
-        jac = np.zeros((self.n_residuals, self.n_params))
-        a1 = slice(0, self.n_angles)
-        f1 = slice(self.n_angles, self.n_state_params)
-        a2 = slice(self.n_state_params, self.n_state_params + self.n_angles)
-        f2 = slice(self.n_state_params + self.n_angles, self.n_params)
-        jac[0, a1] = 2.0 * (m1 * self.delta_1) @ dm1
-        jac[1, a2] = 2.0 * (m2 * self.delta_2) @ dm2
+        m2, dm2, ph2 = self._state_parts(x, n)
+
+        def angle_grad(weights, dm):
+            # Σₑ weightsₑ ∂mₑ/∂θ for each angle θ of one state
+            return [_dot(weights, row) for row in dm]
+
+        no_phases = [0.0] * (self.n_events - 1)
+        no_state = [0.0] * n
+        jac = [
+            angle_grad([2.0 * m * g for m, g in zip(m1, self.gaps[0])], dm1) + no_phases + no_state,
+            no_state + angle_grad([2.0 * m * g for m, g in zip(m2, self.gaps[1])], dm2) + no_phases,
+        ]
         if self.target.require_orthogonal:
-            rel = ph2 - ph1
-            cos = np.cos(rel)
-            sin = np.sin(rel)
-            jac[2, a1] = (m2 * cos) @ dm1
-            jac[2, a2] = (m1 * cos) @ dm2
-            jac[2, f1] = (m1 * m2 * sin)[1:]
-            jac[2, f2] = (-m1 * m2 * sin)[1:]
-            jac[3, a1] = (m2 * sin) @ dm1
-            jac[3, a2] = (m1 * sin) @ dm2
-            jac[3, f1] = (-m1 * m2 * cos)[1:]
-            jac[3, f2] = (m1 * m2 * cos)[1:]
+            # the overlap's terms are m1ₑ m2ₑ (cos, sin)(φ2ₑ − φ1ₑ); event 0 has no phase parameter
+            rel = list(map(operator.sub, ph2, ph1))
+            cos = list(map(math.cos, rel))
+            sin = list(map(math.sin, rel))
+            mm = list(map(operator.mul, m1, m2))
+            mm_cos = list(map(operator.mul, mm, cos))[1:]
+            mm_sin = list(map(operator.mul, mm, sin))[1:]
+            jac.append(
+                angle_grad(list(map(operator.mul, m2, cos)), dm1) + mm_sin
+                + angle_grad(list(map(operator.mul, m1, cos)), dm2) + [-v for v in mm_sin]
+            )
+            jac.append(
+                angle_grad(list(map(operator.mul, m2, sin)), dm1) + [-v for v in mm_cos]
+                + angle_grad(list(map(operator.mul, m1, sin)), dm2) + mm_cos
+            )
         return jac
 
-    def states(self, x: np.ndarray) -> tuple[QuantumState, QuantumState]:
+    def states(self, x: Sequence[float]) -> tuple[QuantumState, QuantumState]:
         out = []
-        for which in range(2):
-            m, _, phases = self._state_parts(x, which)
-            negative = m < 0
-            moduli = np.abs(m)
-            phases = np.where(negative, phases + math.pi, phases)
-            phases = np.mod(phases, 2 * math.pi)
-            out.append(QuantumState(self.scenario, tuple(moduli.tolist()), tuple(phases.tolist())))
+        for base in (0, self.n_state_params):
+            moduli, _, phases = self._state_parts(x, base)
+            phases = [(p + math.pi if m < 0 else p) % (2 * math.pi) for m, p in zip(moduli, phases)]
+            out.append(QuantumState(self.scenario, tuple(map(abs, moduli)), tuple(phases)))
         return out[0], out[1]
+
+
+def _dot(a, b) -> float:
+    return sum(map(operator.mul, a, b))
 
 
 # Levenberg–Marquardt damping: lambda = mu * trace(J J^T) / m, with mu
 # starting at MU_START, divided by MU_SHRINK after an accepted step and
 # multiplied by MU_GROW after a rejected one. MU_FLOOR keeps J J^T + lambda I
-# well conditioned where J J^T is singular (more residuals than parameters);
-# a restart stops once mu passes MU_CEILING or a step is below round-off
-# relative to x.
+# well conditioned where J J^T is singular (more residuals than parameters),
+# so the Cholesky pivots stay far above round-off; a restart stops once mu
+# passes MU_CEILING or a step is below round-off relative to x.
 MU_START = 1e-3
 MU_SHRINK = 3.0
 MU_GROW = 4.0
 MU_FLOOR = 1e-12
 MU_CEILING = 1e16
-STEP_RTOL = float(np.finfo(float).eps)
+STEP_RTOL = sys.float_info.epsilon
 
 
 @_value_class
 class Fit:
     """End point of one restart: the parameters and their residuals."""
 
-    x: np.ndarray
-    fun: np.ndarray
+    x: tuple[float, ...]
+    fun: tuple[float, ...]
 
 
-def least_squares(fun, x0: np.ndarray, jac, max_nfev: int) -> Fit:
+def _cholesky_solve(a: list[list[float]], b) -> list[float]:
+    """y with a y = b, for a symmetric positive definite a; only its lower triangle is read."""
+    n = len(b)
+    low: list[list[float]] = []
+    for i in range(n):
+        row: list[float] = []
+        for j in range(i):
+            row.append((a[i][j] - _dot(row, low[j])) / low[j][j])
+        row.append(math.sqrt(a[i][i] - _dot(row, row)))
+        low.append(row)
+    y: list[float] = []
+    for i in range(n):
+        y.append((b[i] - _dot(low[i], y)) / low[i][i])
+    for i in reversed(range(n)):
+        y[i] = (y[i] - sum(low[k][i] * y[k] for k in range(i + 1, n))) / low[i][i]
+    return y
+
+
+def least_squares(fun, x0: Sequence[float], jac, max_nfev: int) -> Fit:
     """Levenberg–Marquardt from ``x0`` with at most ``max_nfev`` evaluations of ``fun``.
 
     Each iteration solves the m×m system (J Jᵀ + λ I) y = r for the m
-    residuals and steps by δ = −Jᵀ y, which is the damped Gauss–Newton
-    step whether m is below or above the parameter count. A trial point
-    is accepted only when its residuals are finite and its cost falls;
-    a non-finite trial is a rejected step.
+    residuals by Cholesky and steps by δ = −Jᵀ y, which is the damped
+    Gauss–Newton step whether m is below or above the parameter count. A
+    trial point is accepted only when its residuals are finite and its
+    cost falls; a non-finite trial is a rejected step.
     """
-    x = np.array(x0, dtype=float)
+    x = tuple(map(float, x0))
     r = fun(x)
     nfev = 1
-    cost = float(r @ r)
+    cost = _dot(r, r)
     J = jac(x)
     mu = MU_START
+    m = len(r)
     while nfev < max_nfev and mu <= MU_CEILING:
-        gram = J @ J.T
-        scale = float(np.trace(gram)) / len(r)
+        gram = [[_dot(a, b) for b in J] for a in J]
+        scale = sum(gram[i][i] for i in range(m)) / m
         if not (math.isfinite(scale) and scale > 0):
             break
-        gram[np.diag_indices_from(gram)] += mu * scale
-        step = -J.T @ np.linalg.solve(gram, r)
-        if not float(np.linalg.norm(step)) > STEP_RTOL * (STEP_RTOL + float(np.linalg.norm(x))):
+        for i in range(m):
+            gram[i][i] += mu * scale
+        y = _cholesky_solve(gram, r)
+        step = [-_dot(column, y) for column in zip(*J)]
+        if not math.hypot(*step) > STEP_RTOL * (STEP_RTOL + math.hypot(*x)):
             break
-        trial = x + step
+        trial = tuple(map(operator.add, x, step))
         r_trial = fun(trial)
         nfev += 1
-        cost_trial = float(r_trial @ r_trial)
+        cost_trial = _dot(r_trial, r_trial)
         if math.isfinite(cost_trial) and cost_trial < cost:
             x, r, cost = trial, r_trial, cost_trial
             J = jac(x)
             mu = max(mu / MU_SHRINK, MU_FLOOR)
         else:
             mu *= MU_GROW
-    return Fit(x=x, fun=r)
+    return Fit(x=x, fun=tuple(r))
 
 
 def certify_unreachable(system: ResidualSystem, tol: float) -> Optional[UnreachableCertificate]:
@@ -400,12 +437,12 @@ def solve(
     """
     system = ResidualSystem(scenario, target, u)
     certificate = certify_unreachable(system, config.residual_tolerance)
-    rng = np.random.default_rng(config.seed)
+    rng = random.Random(config.seed)
     best = None
     for index in range(config.restarts if certificate is None else 1):
-        start = system.initial_points(rng, 1)[0]  # one bulk draw's stream, in memory that does not grow
+        start = system.initial_points(rng, 1)[0]  # drawn only when its restart runs
         fit = least_squares(system.residuals, start, system.jacobian, config.max_iterations)
-        cost = float(np.sum(fit.fun**2))
+        cost = _dot(fit.fun, fit.fun)
         w1, w2 = system.states(fit.x)
         residuals = _named_residuals(scenario, w1, w2, target, *system.gaps)
         converged = _converged(residuals, target, config.residual_tolerance)
@@ -444,7 +481,7 @@ def explore_solution_family(
     one stops the sweep at its first solve.
     """
     found: list[SolveResult] = []
-    profiles: list[np.ndarray] = []
+    profiles: list[tuple[float, ...]] = []
     for offset in range(count):
         seeded = SolverConfig(
             config.restarts, config.seed + offset, config.max_iterations, config.residual_tolerance
@@ -454,9 +491,9 @@ def explore_solution_family(
             return []
         if not result.converged:
             continue
-        mu = np.array(result.w1.probabilities() + result.w2.probabilities())
-        if any(float(np.max(np.abs(mu - seen))) <= 1e-3 for seen in profiles):
+        profile = result.w1.probabilities() + result.w2.probabilities()
+        if any(max(abs(a - b) for a, b in zip(profile, seen)) <= 1e-3 for seen in profiles):
             continue
         found.append(result)
-        profiles.append(mu)
+        profiles.append(profile)
     return found

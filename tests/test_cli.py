@@ -643,6 +643,25 @@ def _fresh_interpreter(script: str):
     return json.loads(proc.stdout)
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["analyze"], 0),
+    (["solve", "--scenario", "ellsberg3", "--d1", "20"], 2),
+])
+def test_closed_stdout_exits_with_the_commands_code(argv, code):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bornchoice.cli", *argv], cwd=ROOT, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    # the reader closes its end before the command writes its report
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == code
+    assert stderr == b""
+
+
 @pytest.mark.parametrize("command", ["verify-paper", "analyze"])
 def test_bundled_files_load_from_any_working_directory(tmp_path, command):
     env = dict(os.environ)
@@ -656,25 +675,45 @@ def test_bundled_files_load_from_any_working_directory(tmp_path, command):
         assert f"scenario {name}" in proc.stdout
 
 
-def test_only_solve_imports_numpy():
-    # in one fresh interpreter, the numpy-free commands first
-    loaded = _fresh_interpreter(
+def test_no_command_imports_numpy():
+    # numpy is blocked in one fresh interpreter, so any import of it raises ImportError
+    codes = _fresh_interpreter(
         "import contextlib, io, json, sys\n"
-        "import bornchoice\n"
-        "loaded = {'import bornchoice': 'numpy' in sys.modules}\n"
+        "sys.modules['numpy'] = None\n"
+        "from bornchoice import scenarios, solver\n"
         "from bornchoice.cli import main\n"
-        "for argv in (['--version'], ['analyze'], ['feasibility', 'f1>f2,f4>f3', '--scenario', 'ellsberg3'],\n"
-        "             ['feasibility', 'f1=f2,f4=f3', '--scenario', 'ellsberg3'], ['verify-paper'],\n"
-        "             ['solve', '--scenario', 'ellsberg3']):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):\n"
-        "        main(argv)\n"
-        "    loaded[' '.join(argv[:2])] = 'numpy' in sys.modules\n"
-        "print(json.dumps(loaded))\n"
+        "codes = {}\n"
+        "for argv in (['--version'], ['analyze'], ['analyze', '--format', 'csv'],\n"
+        "             ['feasibility', 'f1>f2,f4>f3', '--scenario', 'ellsberg3'],\n"
+        "             ['feasibility', 'f1=f2,f4=f3', '--scenario', 'ellsberg3', '--format', 'csv'],\n"
+        "             ['verify-paper'], ['verify-paper', '--format', 'csv'],\n"
+        "             *(['solve', '--scenario', name] for name in scenarios.BUILTIN_NAMES),\n"
+        "             ['solve', '--scenario', 'ellsberg3', '--format', 'csv'],\n"
+        "             ['solve', '--scenario', 'ellsberg3', '--d1', '20'],\n"
+        "             ['solve', '--scenario', 'ellsberg3', '--d1', '-3', '--d2', '0', '--restarts', '2']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            codes[' '.join(argv)] = main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            codes[' '.join(argv)] = exc.code\n"
+        "s = scenarios.builtin('reflection_lower')\n"
+        "family = solver.explore_solution_family(s, solver.SolveTarget.for_scenario(s),\n"
+        "                                        config=solver.SolverConfig(restarts=8), count=2)\n"
+        "codes['explore_solution_family'] = len(family)\n"
+        "print(json.dumps(codes))\n"
     )
-    assert loaded == {
-        "import bornchoice": False, "--version": False, "analyze": False,
-        "feasibility f1>f2,f4>f3": False, "feasibility f1=f2,f4=f3": False,
-        "verify-paper": False, "solve --scenario": True,
+    assert codes == {
+        "--version": 0, "analyze": 0, "analyze --format csv": 0,
+        "feasibility f1>f2,f4>f3 --scenario ellsberg3": 0,
+        "feasibility f1=f2,f4=f3 --scenario ellsberg3 --format csv": 0,
+        "verify-paper": 0, "verify-paper --format csv": 0,
+        **{f"solve --scenario {name}": 0 for name in BUILTIN_NAMES},
+        "solve --scenario ellsberg3 --format csv": 0,
+        # certified: restart 0 alone runs
+        "solve --scenario ellsberg3 --d1 20": 2,
+        # reachable interval, no orthogonal pair: every restart runs
+        "solve --scenario ellsberg3 --d1 -3 --d2 0 --restarts 2": 2,
+        "explore_solution_family": 2,
     }
 
 
