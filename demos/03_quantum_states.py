@@ -11,9 +11,10 @@ from bornchoice.scenarios import builtin
 
 s = builtin("ellsberg3")
 
-# The ambiguity-free state spreads each constrained group uniformly. Its
-# Born probabilities are the uniform classical ones, so the two frameworks
-# agree exactly there.
+# The ambiguity-free state spreads each constrained group uniformly, so
+# its Born probabilities are the uniform classical ones. In any one state
+# an act's value is the classical expected utility under the state's Born
+# probabilities, so the two columns agree.
 v0 = quantum.initial_state(s)
 print("initial state moduli:", np.round(v0.moduli, 4))
 print("Born probabilities:", np.round(v0.probabilities(), 4))

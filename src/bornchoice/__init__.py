@@ -13,8 +13,7 @@ bornchoice`` loads no submodule and no numpy. Every submodule but
 ``hilbert`` runs on the standard library, ``solver`` included; numpy is
 loaded only by the Hilbert operator API: ``hilbert`` itself and, when
 called, ``utility_values``, ``act_operator``, ``Scenario.payoff_matrix``,
-``ClassicalProbability.as_array``, ``QuantumState.ket``,
-``quantum.expected_utility`` and ``quantum.preference``.
+``ClassicalProbability.as_array`` and ``QuantumState.ket``.
 """
 
 from __future__ import annotations

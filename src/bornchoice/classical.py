@@ -20,6 +20,7 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from . import _value_class
 from .scenarios import (
     DEFAULT_UTILITY,
+    GROUP_SUM_TOL,
     Act,
     Scenario,
     ScenarioError,
@@ -42,8 +43,6 @@ RELATIONS = (FIRST_STRICT, SECOND_STRICT, INDIFFERENT)
 # indifference
 STRICT_MARGIN = 1e-9
 
-GROUP_SUM_TOL = 1e-12
-
 
 class PatternError(ValueError):
     """Raised for preference patterns that cannot be parsed or do not fit the scenario."""
@@ -61,8 +60,10 @@ class CertificateError(RuntimeError):
 class ClassicalProbability:
     """A probability per event, honoring the scenario's group constraints.
 
-    Entries must lie in [0, 1], sum to 1 within 1e-12, and each
-    constraint group must sum to its exact rational total within 1e-12.
+    Entries must lie in [0, 1] and each constraint group must sum to its
+    exact rational total, both within ``GROUP_SUM_TOL``; the entries
+    must sum to 1 within ``GROUP_SUM_TOL`` per group, so the Born
+    marginal of every valid belief state passes.
     """
 
     scenario: Scenario
@@ -77,7 +78,7 @@ class ClassicalProbability:
             if not -GROUP_SUM_TOL <= p <= 1 + GROUP_SUM_TOL:
                 raise ScenarioError(f"probability of event {label!r} is {p}, outside [0, 1]")
         total = sum(probs)
-        if not abs(total - 1.0) <= 1e-12:
+        if not abs(total - 1.0) <= len(self.scenario.constraints) * GROUP_SUM_TOL:
             raise ScenarioError(f"probabilities sum to {total!r}, not 1")
         for indices, t in self.scenario.groups():
             s = sum(probs[i] for i in indices)

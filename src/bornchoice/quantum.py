@@ -2,17 +2,15 @@
 
 A decision-maker's beliefs are a unit vector over the event basis: the
 squared modulus of each amplitude is the subjective probability of that
-event, and the expected utility of an act is the quadratic form of the
-act's diagonal payoff-utility operator in that state. On a single state
-this reproduces the classical value exactly; the point of the vector
-representation is that different questions may be evaluated in
+event, and the expected utility of an act in a state is the classical
+sum of its utilities over those Born probabilities. The point of the
+vector representation is that different questions may be evaluated in
 different states, which is where classically impossible preference
 patterns become representable.
 
-States, their probabilities and overlaps run on the standard library;
-``QuantumState.ket``, ``expected_utility`` and ``preference`` go through
-the operator API and load :mod:`bornchoice.hilbert`, and with it numpy,
-when called.
+States, their probabilities, expected utilities, preferences and
+overlaps run on the standard library; only ``QuantumState.ket`` loads
+:mod:`bornchoice.hilbert`, and with it numpy, when called.
 """
 
 from __future__ import annotations
@@ -24,11 +22,11 @@ from typing import TYPE_CHECKING, Optional, Sequence, Union
 from . import _value_class
 from .scenarios import (
     DEFAULT_UTILITY,
+    GROUP_SUM_TOL,
     Act,
     Scenario,
     ScenarioError,
     UtilityFunction,
-    act_operator,
 )
 
 if TYPE_CHECKING:
@@ -41,9 +39,6 @@ SNAP_TOL = 5e-3
 
 INDIFFERENCE_BAND = 1e-9
 
-# a state's squared moduli must sum to each group's exact total within this
-GROUP_SUM_TOL = 1e-12
-
 
 @_value_class
 class QuantumState:
@@ -51,10 +46,10 @@ class QuantumState:
 
     ``moduli[i]`` squared is the subjective probability of event i and
     must satisfy the scenario's group constraints exactly (within
-    1e-12); phases are stored in radians and enter only through
-    interference terms such as overlaps between states. Construct via
-    :func:`state_from_polar` or :func:`initial_state`, which handle
-    snapping measured vectors onto the constraint surface.
+    ``GROUP_SUM_TOL``); phases are stored in radians and enter only
+    through interference terms such as overlaps between states.
+    Construct via :func:`state_from_polar` or :func:`initial_state`,
+    which handle snapping measured vectors onto the constraint surface.
     """
 
     scenario: Scenario
@@ -194,16 +189,16 @@ def subjective_probabilities(state: QuantumState) -> ClassicalProbability:
 def expected_utility(
     state: QuantumState, act: Union[Act, str, int], u: UtilityFunction = DEFAULT_UTILITY
 ) -> float:
-    """Expected utility of an act in a belief state: the quadratic form <psi|A|psi>.
+    """Expected utility of an act in a belief state: sum_i |psi_i|^2 u(x_i).
 
-    ``A`` is the act's diagonal payoff-utility operator (see
-    :func:`~bornchoice.scenarios.act_operator`, which validates ``u`` on
-    the scenario's payoffs). On the state's Born marginal this equals
-    the classical probability-weighted sum of utilities.
+    The classical expected utility under the state's Born marginal (see
+    :func:`subjective_probabilities`), which validates ``u`` on the
+    scenario's payoffs. It equals the quadratic form <psi|A|psi> of the
+    act's diagonal operator :func:`~bornchoice.scenarios.act_operator`.
     """
-    from . import hilbert
+    from . import classical
 
-    return hilbert.expectation(act_operator(state.scenario, act, u), state.ket())
+    return classical.expected_utility(subjective_probabilities(state), act, u)
 
 
 def preference(

@@ -38,6 +38,10 @@ class ScenarioError(ValueError):
 # utility is checked to be strictly increasing
 MONOTONICITY_GRID = 101
 
+# a probability assignment, classical or Born, must give each constraint
+# group its exact total within this
+GROUP_SUM_TOL = 1e-12
+
 
 @_value_class
 class UtilityFunction:
@@ -526,9 +530,10 @@ class ExperimentCounts:
 
     def __post_init__(self) -> None:
         cells = (self.n_f1f4, self.n_f1f3, self.n_f2f3, self.n_f2f4)
-        for value in cells:
-            if not isinstance(value, int) or value < 0:
-                raise ScenarioError(f"cell counts must be non-negative integers, got {cells}")
+        stated = () if self.n_total is None else (self.n_total,)
+        for value in cells + stated:
+            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+                raise ScenarioError(f"cell counts and total must be non-negative integers, got {cells + stated}")
         total = sum(cells)
         if self.n_total is None:
             object.__setattr__(self, "n_total", total)

@@ -29,9 +29,10 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import _value_class
-from .quantum import GROUP_SUM_TOL, QuantumState
+from .quantum import QuantumState
 from .scenarios import (
     DEFAULT_UTILITY,
+    GROUP_SUM_TOL,
     Scenario,
     ScenarioError,
     UtilityFunction,
@@ -69,12 +70,12 @@ class SolverConfig:
     residual_tolerance: float = 1e-8
 
     def __post_init__(self) -> None:
-        if self.restarts < 1:
-            raise ScenarioError(f"restarts must be >= 1, got {self.restarts}")
-        if self.seed < 0:
-            raise ScenarioError(f"seed must be >= 0, got {self.seed}")
-        if self.max_iterations < 1:
-            raise ScenarioError(f"max_iterations must be >= 1, got {self.max_iterations}")
+        for name, least in (("restarts", 1), ("seed", 0), ("max_iterations", 1)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ScenarioError(f"{name} must be an integer, got {value!r}")
+            if value < least:
+                raise ScenarioError(f"{name} must be >= {least}, got {value}")
         check_tolerance(self.residual_tolerance)
 
 

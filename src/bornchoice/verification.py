@@ -89,8 +89,8 @@ class SolveTarget:
 
 
 def check_tolerance(tol: float) -> None:
-    """Raise ScenarioError unless a residual tolerance is finite and positive."""
-    if not (math.isfinite(tol) and tol > 0):
+    """Raise ScenarioError unless a residual tolerance is a finite positive number, not a bool."""
+    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
         raise ScenarioError(f"residual_tolerance must be finite and positive, got {tol}")
 
 

@@ -69,6 +69,40 @@ def test_verification_layers_load_no_numpy():
     assert loaded == {"before": False, "after": True, "same": True}
 
 
+def test_expected_utility_and_preference_load_no_numpy():
+    # numpy is blocked in a fresh interpreter, so any import of it raises ImportError
+    got = _fresh_interpreter(
+        "import json, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from bornchoice import quantum, scenarios\n"
+        "w = quantum.state_from_polar(scenarios.builtin('ellsberg3'), (3 ** -0.5, 0.5 ** 0.5, 6 ** -0.5))\n"
+        "print(json.dumps({'values': [quantum.expected_utility(w, a) for a in ('f1', 'f2', 'f3', 'f4')],\n"
+        "                  'preferences': [quantum.preference(w, 'f1', 'f2'), quantum.preference(w, 'f4', 'f3')],\n"
+        "                  'hilbert': 'bornchoice.hilbert' in sys.modules}))\n"
+    )
+    from bornchoice import quantum, scenarios
+
+    w = quantum.state_from_polar(scenarios.builtin("ellsberg3"), (3 ** -0.5, 0.5 ** 0.5, 6 ** -0.5))
+    assert got == {
+        "values": [quantum.expected_utility(w, a) for a in ("f1", "f2", "f3", "f4")],
+        "preferences": [">", "<"],
+        "hilbert": False,
+    }
+
+
+@pytest.mark.parametrize("call", ["scenarios.act_operator(s, 'f1')", "quantum.initial_state(s).ket()"])
+def test_operator_api_loads_hilbert(call):
+    loaded = _fresh_interpreter(
+        "import json, sys\n"
+        "from bornchoice import quantum, scenarios\n"
+        "s = scenarios.builtin('ellsberg3')\n"
+        "before = 'bornchoice.hilbert' in sys.modules\n"
+        f"{call}\n"
+        "print(json.dumps({'before': before, 'after': 'bornchoice.hilbert' in sys.modules}))\n"
+    )
+    assert loaded == {"before": False, "after": True}
+
+
 def test_no_source_file_imports_dataclasses():
     importers = []
     for path in sorted(Path(bornchoice.__file__).parent.rglob("*.py")):

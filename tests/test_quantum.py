@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornchoice import classical
+from bornchoice import classical, hilbert
 from bornchoice.quantum import (
     QuantumState,
     expected_ball_counts,
@@ -28,6 +28,7 @@ from bornchoice.scenarios import (
     Scenario,
     ScenarioError,
     UtilityFunction,
+    act_operator,
     builtin,
 )
 
@@ -164,6 +165,21 @@ def test_subjective_probabilities_are_admissible():
         assert p.probs == pytest.approx(v.probabilities())
 
 
+def test_subjective_probabilities_at_the_edge_of_the_group_band():
+    # each group's squared moduli sum 9e-13 above its total, inside the
+    # state's band, so all of them sum 1.8e-12 above 1
+    s = builtin("machina5051")
+    mods = []
+    for indices, total in s.groups():
+        mods += [math.sqrt((float(total) + 9e-13) / len(indices))] * len(indices)
+    v = QuantumState(s, tuple(mods), (0.0,) * s.n_events)
+    assert sum(v.probabilities()) - 1.0 > 1e-12
+    p = subjective_probabilities(v)
+    assert p.probs == v.probabilities()
+    for act in s.acts:
+        assert expected_utility(v, act.label, SQRT) == classical.expected_utility(p, act.label, SQRT)
+
+
 def test_expected_utility_on_initial_states():
     v = initial_state(builtin("ellsberg3"))
     assert expected_utility(v, "f1", SQRT) == pytest.approx(10 / 3, abs=1e-12)
@@ -273,7 +289,11 @@ def test_quantum_matches_classical_on_born_marginal(seed, idx):
     rng = np.random.default_rng(seed)
     v = _random_state(scenario, rng)
     p = subjective_probabilities(v)
+    psi = v.ket()
     for act in scenario.acts:
         q_value = expected_utility(v, act.label, SQRT)
         c_value = classical.expected_utility(p, act.label, SQRT)
         assert abs(q_value - c_value) <= 1e-10
+        # <psi|A|psi> through the operator API, an independent reference
+        op_value = hilbert.expectation(act_operator(scenario, act.label, SQRT), psi)
+        assert abs(q_value - op_value) <= 1e-10

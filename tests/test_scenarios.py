@@ -473,6 +473,11 @@ def test_counts_validate_total_and_cells():
         ExperimentCounts(1.5, 2, 3, 4)
     with pytest.raises(ScenarioError, match="at least one participant"):
         ExperimentCounts(0, 0, 0, 0)
+    # a bool equals 0 or 1 and a float total can equal the sum, but neither is a count
+    for cells, total in [((True, 0, 0, 0), None), ((1, 2, 3, False), None), ((1, 0, 0, 0), True),
+                         ((1, 2, 3, 4), 10.0), ((1, 2, 3, 4), "10")]:
+        with pytest.raises(ScenarioError, match="non-negative integers"):
+            ExperimentCounts(*cells, n_total=total)
 
 
 # -- the value-class contract ------------------------------------------

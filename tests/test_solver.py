@@ -125,6 +125,12 @@ def test_solver_config_validation():
         SolverConfig(max_iterations=0)
     with pytest.raises(ScenarioError, match="residual_tolerance"):
         SolverConfig(residual_tolerance=0.0)
+    with pytest.raises(ScenarioError, match="residual_tolerance"):
+        SolverConfig(residual_tolerance=True)
+    for field in ("restarts", "seed", "max_iterations"):
+        for value in (2.5, 1.0, True, False):
+            with pytest.raises(ScenarioError, match=f"{field} must be an integer, got {value}"):
+                SolverConfig(**{field: value})
 
 
 def test_explore_family_seeds_an_equal_config_per_offset(monkeypatch):
