@@ -5,7 +5,7 @@ observed modal choice pattern has no classical probability that supports it.
 """
 
 from bornchoice import classical
-from bornchoice.scenarios import BUILTIN_NAMES, DEFAULT_UTILITY, builtin, utility_values
+from bornchoice.scenarios import BUILTIN_NAMES, DEFAULT_UTILITY, act_utilities, builtin
 
 # Each scenario is a small ambiguous-urn decision problem: events with
 # partially constrained probabilities, and four payoff acts asked as two
@@ -25,7 +25,7 @@ s = builtin("ellsberg3")
 p = classical.ClassicalProbability(s, (1 / 3, 1 / 3, 1 / 3))
 for act in s.acts:
     print(f"W({act.label}) at uniform p = {classical.expected_utility(p, act):.4f}")
-print("utilities of f1's payoffs:", utility_values(s, s.act(0), DEFAULT_UTILITY))
+print("utilities of f1's payoffs:", act_utilities(s, s.act(0), DEFAULT_UTILITY))
 print()
 
 # The modal experimental answers are f1 over f2 and f4 over f3. Jointly

@@ -4,7 +4,7 @@ subjective probabilities, and state-dependent expected utility.
     python3 demos/03_quantum_states.py
 """
 
-import numpy as np
+import math
 
 from bornchoice import classical, quantum
 from bornchoice.scenarios import builtin
@@ -16,8 +16,8 @@ s = builtin("ellsberg3")
 # an act's value is the classical expected utility under the state's Born
 # probabilities, so the two columns agree.
 v0 = quantum.initial_state(s)
-print("initial state moduli:", np.round(v0.moduli, 4))
-print("Born probabilities:", np.round(v0.probabilities(), 4))
+print("initial state moduli:", [round(m, 4) for m in v0.moduli])
+print("Born probabilities:", [round(p, 4) for p in v0.probabilities()])
 for act in s.acts:
     eu_q = quantum.expected_utility(v0, act)
     eu_c = classical.expected_utility(quantum.subjective_probabilities(v0), act)
@@ -26,8 +26,8 @@ for act in s.acts:
 # A decision maker's state need not be ambiguity free. This one shifts
 # weight inside the (Y, B) group while keeping the group total at 2/3,
 # so it is still admissible, and it reverses both modal preferences.
-w = quantum.state_from_polar(s, (np.sqrt(1 / 3), np.sqrt(0.5), np.sqrt(1 / 6)))
-print("\nshifted state probabilities:", np.round(w.probabilities(), 4))
+w = quantum.state_from_polar(s, (math.sqrt(1 / 3), math.sqrt(0.5), math.sqrt(1 / 6)))
+print("\nshifted state probabilities:", [round(p, 4) for p in w.probabilities()])
 print("f1 vs f2:", quantum.preference(w, "f1", "f2"))
 print("f4 vs f3:", quantum.preference(w, "f4", "f3"))
 
@@ -35,7 +35,7 @@ print("f4 vs f3:", quantum.preference(w, "f4", "f3"))
 # overlaps (hence for the orthogonality of a two-question state pair).
 w_phased = quantum.state_from_polar(s, w.moduli, (0.0, 120.0, 240.0))
 print("\nphases changed, probabilities unchanged:",
-      np.allclose(w.probabilities(), w_phased.probabilities()))
+      all(abs(p - q) <= 1e-12 for p, q in zip(w.probabilities(), w_phased.probabilities())))
 print("overlap <w|w_phased> =", abs(quantum.overlap(w, w_phased)))
 
 # A state's probabilities convert directly to expected ball counts in the

@@ -5,8 +5,6 @@ utility gaps at the printed three-decimal precision.
     python3 demos/04_published_solutions.py
 """
 
-import numpy as np
-
 from bornchoice import quantum, solver
 from bornchoice.scenarios import BUILTIN_NAMES
 
@@ -27,7 +25,7 @@ for name in BUILTIN_NAMES:
 # probability constraints, so their event probabilities are admissible to
 # machine precision rather than to three decimals.
 solution = solver.paper_solutions("ellsberg3")
-print("\nellsberg3 w1 probabilities:", np.round(solution.w1.probabilities(), 6))
+print("\nellsberg3 w1 probabilities:", [round(p, 6) for p in solution.w1.probabilities()])
 print("group totals:", solution.w1.probabilities()[0],
       solution.w1.probabilities()[1] + solution.w1.probabilities()[2])
 

@@ -9,11 +9,8 @@ least-squares solver for orthogonal state pairs hitting target utility
 gaps, and the statistics of a paired-choice experiment.
 
 Each public name loads its submodule on first access, so ``import
-bornchoice`` loads no submodule and no numpy. Every submodule but
-``hilbert`` runs on the standard library, ``solver`` included; numpy is
-loaded only by the Hilbert operator API: ``hilbert`` itself and, when
-called, ``utility_values``, ``act_operator``, ``Scenario.payoff_matrix``,
-``ClassicalProbability.as_array`` and ``QuantumState.ket``.
+bornchoice`` loads no submodule. Every submodule runs on the standard
+library; the package has no runtime dependency.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ _EXPORTS = {
     "scenarios": (
         "BUILTIN_NAMES", "DEFAULT_UTILITY", "Act", "ExperimentCounts", "Scenario", "ScenarioError",
         "UtilityFunction", "act_operator", "builtin", "load_scenario", "load_scenario_file",
-        "resolve_scenario", "utility_values",
+        "resolve_scenario",
     ),
     "solver": ("ResidualSystem", "SolveResult", "SolverConfig", "explore_solution_family", "solve"),
     "stats": (

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import TYPE_CHECKING, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from . import _value_class
 from .scenarios import (
@@ -29,9 +29,6 @@ from .scenarios import (
     support,
     utility_differences,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 FIRST_STRICT = "first-strict"
 SECOND_STRICT = "second-strict"
@@ -86,11 +83,6 @@ class ClassicalProbability:
                 labels = [self.scenario.events[i] for i in indices]
                 raise ScenarioError(f"group {labels} sums to {s!r}, constraint requires {t} (= {float(t)!r})")
         object.__setattr__(self, "probs", probs)
-
-    def as_array(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array(self.probs, dtype=float)
 
     def to_dict(self) -> dict:
         return {label: p for label, p in zip(self.scenario.events, self.probs)}

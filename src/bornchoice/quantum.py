@@ -9,8 +9,8 @@ different states, which is where classically impossible preference
 patterns become representable.
 
 States, their probabilities, expected utilities, preferences and
-overlaps run on the standard library; only ``QuantumState.ket`` loads
-:mod:`bornchoice.hilbert`, and with it numpy, when called.
+overlaps never load :mod:`bornchoice.hilbert`; only ``QuantumState.ket``
+does, when called.
 """
 
 from __future__ import annotations
@@ -88,6 +88,7 @@ class QuantumState:
         return tuple(math.degrees(p) for p in self.phases)
 
     def ket(self) -> Ket:
+        """The state as a :class:`~bornchoice.hilbert.Ket`; loads :mod:`bornchoice.hilbert`."""
         from . import hilbert
 
         amps = [m * cmath.exp(1j * p) for m, p in zip(self.moduli, self.phases)]

@@ -25,8 +25,6 @@ from typing import TYPE_CHECKING, Iterable, Mapping, Sequence, Union
 from . import _value_class
 
 if TYPE_CHECKING:
-    import numpy as np
-
     from .hilbert import HermitianOp
 
 
@@ -303,11 +301,6 @@ class Scenario:
         items = [(c.sorted_indices(), c.total) for c in self.constraints]
         return tuple(sorted(items, key=lambda it: it[0][0]))
 
-    def payoff_matrix(self) -> np.ndarray:
-        import numpy as np
-
-        return np.array([a.payoffs for a in self.acts], dtype=float)
-
     def to_document(self) -> dict:
         """Plain-dict form matching the JSON schema of :func:`load_scenario`."""
         return {
@@ -493,25 +486,17 @@ def support(groups, v: Sequence) -> Fraction | float:
     return sum(t * max(v[i] for i in indices) for indices, t in groups)
 
 
-def utility_values(scenario: Scenario, act: Union[Act, str, int], u: UtilityFunction) -> np.ndarray:
-    """:func:`act_utilities` as a float array."""
-    import numpy as np
-
-    return np.array(act_utilities(scenario, act, u), dtype=float)
-
-
 def act_operator(scenario: Scenario, act: Union[Act, str, int], u: UtilityFunction = DEFAULT_UTILITY) -> HermitianOp:
     """Hermitian act operator: diagonal, with eigenvalue u(x_i) on event i.
 
-    Eigenvalues follow the scenario's event order. Raises if the act
-    does not belong to the scenario or u is undefined or non-increasing
-    on the scenario's payoffs.
+    Eigenvalues are :func:`act_utilities`, in event order; loads
+    :mod:`bornchoice.hilbert`. Raises if the act does not belong to the
+    scenario or u is undefined or non-increasing on the scenario's payoffs.
     """
-    import numpy as np
-
     from .hilbert import HermitianOp
 
-    return HermitianOp(np.diag(utility_values(scenario, act, u).astype(np.complex128)))
+    values = act_utilities(scenario, act, u)
+    return HermitianOp([[x if i == j else 0.0 for j in range(len(values))] for i, x in enumerate(values)])
 
 
 @_value_class

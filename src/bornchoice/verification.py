@@ -90,8 +90,12 @@ class SolveTarget:
 
 def check_tolerance(tol: float) -> None:
     """Raise ScenarioError unless a residual tolerance is a finite positive number, not a bool."""
-    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0):
-        raise ScenarioError(f"residual_tolerance must be finite and positive, got {tol}")
+    try:
+        valid = not isinstance(tol, bool) and math.isfinite(tol) and tol > 0
+    except TypeError:
+        valid = False
+    if not valid:
+        raise ScenarioError(f"residual_tolerance must be finite and positive, got {tol!r}")
 
 
 def _named_residuals(

@@ -53,7 +53,7 @@ def test_classical_probability_accepts_admissible():
     s = builtin("ellsberg3")
     p = ClassicalProbability(s, (1 / 3, 0.5, 2 / 3 - 0.5))
     assert p.to_dict() == {"R": 1 / 3, "Y": 0.5, "B": 2 / 3 - 0.5}
-    assert np.allclose(p.as_array(), [1 / 3, 0.5, 1 / 6])
+    assert np.allclose(p.probs, [1 / 3, 0.5, 1 / 6])
 
 
 def test_classical_probability_rejections():

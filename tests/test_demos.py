@@ -17,11 +17,21 @@ def test_demos_are_found():
     assert len(DEMOS) >= 6
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
-def test_demo_runs(demo):
+def _run(*argv):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
+    proc = subprocess.run([sys.executable, *argv], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo):
+    _run(str(demo))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs_without_numpy(demo):
+    # numpy is blocked, so any import of it raises ImportError
+    script = f"import runpy, sys; sys.modules['numpy'] = None; runpy.run_path({str(demo)!r}, run_name='__main__')"
+    assert _run("-c", script) == _run(str(demo))

@@ -40,7 +40,7 @@ def test_ket_basics():
 
 def test_ket_amplitudes_read_only():
     v = ket([1.0, 0.0])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         v.amplitudes[0] = 5.0
 
 
@@ -198,7 +198,7 @@ def test_report_round_trip_dict():
 
 
 def test_operator_values_keep_identity_equality():
-    # numpy entries have no single truth value, so equality is identity
+    # operator values compare and hash by identity
     made = {
         "Ket": lambda: ket([1, 0]),
         "HermitianOp": lambda: identity_op(2),
@@ -223,3 +223,108 @@ def test_operator_values_are_read_only_and_named_by_their_own_class():
         del canonical_family(2).projectors
     with pytest.raises(TypeError, match="missing required argument 'entries'"):
         Projector()
+
+
+# -- non-finite entries ----------------------------------------------------
+
+@pytest.mark.parametrize("make", [
+    lambda: HermitianOp([[math.nan, 0], [0, 1]]),
+    lambda: HermitianOp([[math.inf, 0], [0, 1]]),
+    lambda: Projector([[math.nan, 0], [0, 0]]),
+    lambda: Ket([math.nan, 0]),
+    lambda: ket([1, complex(0, math.inf)]),
+], ids=["hermitian-nan", "hermitian-inf", "projector-nan", "ket-nan", "ket-inf"])
+def test_construction_rejects_non_finite_entries(make):
+    with pytest.raises(HilbertError, match="finite"):
+        make()
+
+
+def test_expectation_rejects_a_nan_operator():
+    with pytest.raises(HilbertError, match="finite"):
+        expectation([[math.nan, 0], [0, 1]], ket([1, 0]))
+
+
+def test_born_probability_rejects_a_nan_projector():
+    # the clip onto [0, 1] would turn a NaN probability into 0
+    with pytest.raises(HilbertError, match="finite"):
+        born_probability([[math.nan, 0], [0, 0]], ket([1, 0]))
+    with pytest.raises(HilbertError, match="finite"):
+        born_probability(Projector([[math.nan, 0], [0, 0]]), ket([1, 0]))
+
+
+def test_collapse_onto_a_nan_projector_is_an_error():
+    # the collapsed ket would be all NaN
+    with pytest.raises(HilbertError, match="finite"):
+        collapse(Projector([[math.nan, 0], [0, 0]]), ket([1, 0]))
+
+
+def test_expectation_rejects_an_overflow_to_nan():
+    # finite entries whose product overflows: the imaginary part is NaN
+    big = 1.5e308
+    with pytest.raises(HilbertError, match="non-real"):
+        expectation(HermitianOp([[big, big], [big, big]]), ket([math.sqrt(0.5), math.sqrt(0.5)]))
+
+
+def test_inputs_are_read_by_iteration():
+    assert ket(iter([1, 0])).amplitudes == (1 + 0j, 0j)
+    assert Ket(np.array([0.6, 0.8j])).amplitudes == (0.6 + 0j, 0.8j)
+    assert HermitianOp(np.eye(2)).entries == ((1 + 0j, 0j), (0j, 1 + 0j))
+    for bad in (5, "10", [[1, 0]], [None], [np.zeros(1)]):
+        with pytest.raises(HilbertError):
+            Ket(bad)
+    for bad in (np.eye(2)[0], [[1, 0], [0]], [[1, 0], [0, 1], [0, 0]], np.zeros((2, 2, 2)), [["1", 0], [0, 1]]):
+        with pytest.raises(HilbertError):
+            HermitianOp(bad)
+
+
+# -- the same values as numpy ------------------------------------------------
+
+def _close(got, want, tol=1e-12):
+    return bool(np.max(np.abs(np.asarray(got, dtype=complex) - np.asarray(want, dtype=complex))) <= tol)
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_every_function_matches_a_numpy_computation(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(50):
+        a, b = (rng.normal(size=dim) + 1j * rng.normal(size=dim) for _ in range(2))
+        u = a / np.linalg.norm(a)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        h = (m + m.conj().T) / 2
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+        rank = int(rng.integers(1, dim + 1))
+        p = q[:, :rank] @ q[:, :rank].conj().T
+        index = int(rng.integers(dim))
+
+        assert _close(Ket(a).norm(), np.linalg.norm(a))
+        assert _close(inner_product(Ket(a), Ket(b)), np.vdot(a, b))
+        assert _close(HermitianOp(h).apply(Ket(a)), h @ a)
+        assert _close(expectation(h, Ket(u)), np.vdot(u, h @ u).real)
+        assert _close(expectation(HermitianOp(h), Ket(u)), np.vdot(u, h @ u).real)
+        want = min(1.0, max(0.0, np.vdot(u, p @ u).real))
+        assert _close(born_probability(p, Ket(u)), want)
+        assert _close(born_probability(Projector(p), Ket(u)), want)
+        assert _close(collapse(Projector(p), Ket(u)).amplitudes, p @ u / np.linalg.norm(p @ u))
+        assert _close(rank_one_projector(Ket(a)).entries, np.outer(a, a.conj()) / np.vdot(a, a).real)
+        assert _close(identity_op(dim).entries, np.eye(dim))
+        assert _close(basis_ket(dim, index).amplitudes, np.eye(dim)[index])
+        assert _close(basis_projector(dim, [index]).entries, np.diag(np.eye(dim)[index]))
+        for i, projector in enumerate(canonical_family(dim).projectors):
+            assert _close(projector.entries, np.diag(np.eye(dim)[i]))
+
+        # a family with one projector repeated: not orthogonal, not complete
+        mats = [np.outer(q[:, i], q[:, i].conj()) for i in (0, *range(dim))]
+        family = SpectralFamily(tuple(Projector(mat) for mat in mats))
+        report = validate_spectral_family(family)
+        assert _close(report.check("hermiticity").deviation, max(np.max(np.abs(x - x.conj().T)) for x in mats))
+        assert _close(report.check("idempotency").deviation, max(np.max(np.abs(x @ x - x)) for x in mats))
+        ortho = max(np.max(np.abs(mats[i] @ mats[j])) for i in range(len(mats)) for j in range(i + 1, len(mats)))
+        assert _close(report.check("mutual orthogonality").deviation, ortho)
+        assert _close(report.check("completeness").deviation, np.max(np.abs(sum(mats) - np.eye(dim))))
+
+        basis = SpectralFamily(tuple(Projector(mat) for mat in mats[1:]))
+        measure = check_generalized_measure(Ket(u), basis)
+        probs = [min(1.0, max(0.0, np.vdot(u, x @ u).real)) for x in mats[1:]]
+        assert _close(measure.check("identity has measure 1").deviation, abs(np.vdot(u, u).real - 1.0))
+        additivity = abs(np.vdot(u, sum(mats[1:]) @ u).real - sum(probs))
+        assert _close(measure.check("additivity over the family").deviation, additivity)

@@ -43,7 +43,7 @@ def test_inner_product_linear_in_ket(seed, dim):
     a, b, c = (hilbert.Ket(_vector(rng, dim)) for _ in range(3))
     z = complex(rng.normal(), rng.normal())
     t = complex(rng.normal(), rng.normal())
-    combo = hilbert.Ket(z * b.amplitudes + t * c.amplitudes)
+    combo = hilbert.Ket(z * np.asarray(b.amplitudes) + t * np.asarray(c.amplitudes))
     lhs = hilbert.inner_product(a, combo)
     rhs = z * hilbert.inner_product(a, b) + t * hilbert.inner_product(a, c)
     assert abs(lhs - rhs) <= 1e-10
@@ -56,7 +56,7 @@ def test_inner_product_antilinear_in_bra(seed, dim):
     a, b, c = (hilbert.Ket(_vector(rng, dim)) for _ in range(3))
     z = complex(rng.normal(), rng.normal())
     t = complex(rng.normal(), rng.normal())
-    combo = hilbert.Ket(z * a.amplitudes + t * b.amplitudes)
+    combo = hilbert.Ket(z * np.asarray(a.amplitudes) + t * np.asarray(b.amplitudes))
     lhs = hilbert.inner_product(combo, c)
     rhs = z.conjugate() * hilbert.inner_product(a, c) + t.conjugate() * hilbert.inner_product(b, c)
     assert abs(lhs - rhs) <= 1e-10
@@ -72,7 +72,7 @@ def test_born_range_and_complement(seed, dim):
     mat = np.zeros((dim, dim), dtype=np.complex128)
     for proj, keep in zip(fam.projectors, mask):
         if keep:
-            mat = mat + proj.entries
+            mat = mat + np.asarray(proj.entries)
     p = hilbert.born_probability(mat, v)
     q = hilbert.born_probability(np.eye(dim) - mat, v)
     assert 0.0 <= p <= 1.0
@@ -98,8 +98,8 @@ def test_measure_additive_over_orthogonal_projectors(seed, dim):
     rng = np.random.default_rng(seed)
     v = _unit_ket(rng, dim)
     fam = _random_family(rng, dim)
-    m1 = fam.projectors[0].entries + fam.projectors[1].entries
-    m2 = fam.projectors[2].entries
+    m1 = np.asarray(fam.projectors[0].entries) + np.asarray(fam.projectors[1].entries)
+    m2 = np.asarray(fam.projectors[2].entries)
     lhs = hilbert.born_probability(m1 + m2, v)
     rhs = hilbert.born_probability(m1, v) + hilbert.born_probability(m2, v)
     assert abs(lhs - rhs) <= 1e-9
@@ -114,7 +114,7 @@ def test_spectral_decomposition_consistency(seed, dim):
     outcomes = rng.normal(size=dim) * 10.0
     op = np.zeros((dim, dim), dtype=np.complex128)
     for o, proj in zip(outcomes, fam.projectors):
-        op = op + o * proj.entries
+        op = op + o * np.asarray(proj.entries)
     lhs = hilbert.expectation(op, v)
     rhs = sum(o * hilbert.born_probability(proj, v) for o, proj in zip(outcomes, fam.projectors))
     assert abs(lhs - rhs) <= 1e-9
@@ -131,5 +131,5 @@ def test_collapse_unit_norm_and_idempotent(seed, dim):
     w = hilbert.collapse(proj, v)
     assert abs(w.norm() - 1.0) <= 1e-12
     again = hilbert.collapse(proj, w)
-    assert float(np.max(np.abs(again.amplitudes - w.amplitudes))) <= 1e-10
+    assert float(np.max(np.abs(np.asarray(again.amplitudes) - np.asarray(w.amplitudes)))) <= 1e-10
     assert abs(hilbert.born_probability(proj, w) - 1.0) <= 1e-10

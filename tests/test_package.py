@@ -66,7 +66,7 @@ def test_verification_layers_load_no_numpy():
         "                  'same': CheckLine is bornchoice.report.CheckLine\n"
         "                          and ValidationReport is bornchoice.report.ValidationReport}))\n"
     )
-    assert loaded == {"before": False, "after": True, "same": True}
+    assert loaded == {"before": False, "after": False, "same": True}
 
 
 def test_expected_utility_and_preference_load_no_numpy():
@@ -88,6 +88,41 @@ def test_expected_utility_and_preference_load_no_numpy():
         "preferences": [">", "<"],
         "hilbert": False,
     }
+
+
+def test_hilbert_layer_runs_without_numpy():
+    # numpy is blocked in a fresh interpreter, so any import of it raises ImportError
+    got = _fresh_interpreter(
+        "import json, math, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from bornchoice import hilbert, quantum, scenarios\n"
+        "v = hilbert.ket([math.sqrt(0.25), 1j * math.sqrt(0.75)])\n"
+        "op = hilbert.HermitianOp([[1, 2j], [-2j, 3]])\n"
+        "proj = hilbert.basis_projector(2, [1])\n"
+        "family = hilbert.canonical_family(2)\n"
+        "s = scenarios.builtin('machina5051')\n"
+        "psi = quantum.initial_state(s).ket()\n"
+        "print(json.dumps({\n"
+        "    'inner': abs(hilbert.inner_product(v, v)),\n"
+        "    'expectation': hilbert.expectation(op, v),\n"
+        "    'born': hilbert.born_probability(proj, v),\n"
+        "    'collapse': [abs(z) for z in hilbert.collapse(proj, v).amplitudes],\n"
+        "    'rank_one': abs(hilbert.rank_one_projector(v).entries[0][0]),\n"
+        "    'family': hilbert.validate_spectral_family(family).passed,\n"
+        "    'measure': hilbert.check_generalized_measure(v, family).passed,\n"
+        "    'operator': hilbert.expectation(scenarios.act_operator(s, 'f1'), psi),\n"
+        "    'quantum': quantum.expected_utility(quantum.initial_state(s), 'f1'),\n"
+        "    'numpy': [name for name in sys.modules if name.split('.')[0] == 'numpy' and sys.modules[name]]}))\n"
+    )
+    assert got["inner"] == pytest.approx(1.0, abs=1e-12)
+    # <v|op|v> = 0.25 * 1 + 0.75 * 3 + 2 Re(conj(v0) 2j v1) = 2.5 - 2 sqrt(0.1875)
+    assert got["expectation"] == pytest.approx(2.5 - 4 * 0.1875 ** 0.5, abs=1e-12)
+    assert got["born"] == pytest.approx(0.75, abs=1e-12)
+    assert got["collapse"] == pytest.approx([0.0, 1.0], abs=1e-12)
+    assert got["rank_one"] == pytest.approx(0.25, abs=1e-12)
+    assert got["family"] and got["measure"]
+    assert got["operator"] == pytest.approx(got["quantum"], abs=1e-10)
+    assert got["numpy"] == []
 
 
 @pytest.mark.parametrize("call", ["scenarios.act_operator(s, 'f1')", "quantum.initial_state(s).ket()"])

@@ -25,7 +25,6 @@ from bornchoice.scenarios import (
     load_scenario,
     load_scenario_file,
     resolve_scenario,
-    utility_values,
 )
 
 
@@ -144,7 +143,7 @@ def test_machina5051_contents():
         ],
         dtype=float,
     )
-    assert np.array_equal(s.payoff_matrix(), expected)
+    assert np.array_equal(np.array([a.payoffs for a in s.acts], dtype=float), expected)
     assert s.groups() == (((0, 1), Fraction(50, 101)), ((2, 3), Fraction(51, 101)))
     assert s.question_pairs == ((0, 1), (3, 2))
 
@@ -152,12 +151,13 @@ def test_machina5051_contents():
 def test_reflection_contents():
     lo = builtin("reflection_lower")
     hi = builtin("reflection_upper")
+    lo_payoffs, hi_payoffs = (np.array([a.payoffs for a in s.acts], dtype=float) for s in (lo, hi))
     assert np.array_equal(
-        lo.payoff_matrix(),
+        lo_payoffs,
         np.array([[0, 50, 25, 25], [0, 25, 50, 25], [25, 50, 25, 0], [25, 25, 50, 0]], dtype=float),
     )
     # the upper variant lifts events R and G by 50 on every act
-    assert np.array_equal(hi.payoff_matrix(), lo.payoff_matrix() + np.array([50.0, 0.0, 0.0, 50.0]))
+    assert np.array_equal(hi_payoffs, lo_payoffs + np.array([50.0, 0.0, 0.0, 50.0]))
     for s in (lo, hi):
         assert s.groups() == (((0, 1), Fraction(1, 2)), ((2, 3), Fraction(1, 2)))
         assert s.question_pairs == ((0, 1), (2, 3))
@@ -409,29 +409,29 @@ def test_load_scenario_file(tmp_path):
 
 def test_utility_values_sqrt():
     s = builtin("ellsberg3")
-    assert np.array_equal(utility_values(s, "f1", UtilityFunction.sqrt()), [10.0, 0.0, 0.0])
-    assert np.array_equal(utility_values(s, 3, UtilityFunction.linear()), [0.0, 100.0, 100.0])
+    assert act_utilities(s, "f1", UtilityFunction.sqrt()) == (10.0, 0.0, 0.0)
+    assert act_utilities(s, 3, UtilityFunction.linear()) == (0.0, 100.0, 100.0)
 
 
 def test_utility_values_rejects_foreign_act():
     s = builtin("ellsberg3")
     foreign = Act("f1", (1, 2, 3))
     with pytest.raises(ScenarioError, match="does not belong"):
-        utility_values(s, foreign, DEFAULT_UTILITY)
+        act_utilities(s, foreign, DEFAULT_UTILITY)
 
 
 @pytest.mark.parametrize("alpha", [400.0, 1e308])
 def test_power_utility_overflow_is_a_scenario_error(alpha):
     with pytest.raises(ScenarioError, match="power utility overflows at payoff 100.0"):
-        utility_values(builtin("ellsberg3"), "f1", UtilityFunction.power(alpha))
+        act_utilities(builtin("ellsberg3"), "f1", UtilityFunction.power(alpha))
 
 
-def test_utility_values_wraps_act_utilities():
+def test_act_operator_wraps_act_utilities():
     s = builtin("machina5051")
     for act in s.acts:
         values = act_utilities(s, act, DEFAULT_UTILITY)
         assert isinstance(values, tuple)
-        assert np.array_equal(utility_values(s, act, DEFAULT_UTILITY), values)
+        assert np.array_equal(act_operator(s, act, DEFAULT_UTILITY).entries, np.diag(values))
 
 
 def test_utility_values_rejects_undefined_utility():
@@ -443,7 +443,7 @@ def test_utility_values_rejects_undefined_utility():
         ((0, 1),),
     )
     with pytest.raises(ScenarioError, match="undefined"):
-        utility_values(s, "f1", UtilityFunction.sqrt())
+        act_utilities(s, "f1", UtilityFunction.sqrt())
 
 
 def test_act_operator_is_diagonal_utilities():

@@ -133,6 +133,12 @@ def test_solver_config_validation():
                 SolverConfig(**{field: value})
 
 
+@pytest.mark.parametrize("tol", ["1e-8", None, 1e-8j])
+def test_solver_config_rejects_a_non_number_tolerance(tol):
+    with pytest.raises(ScenarioError, match=f"residual_tolerance must be finite and positive, got {tol!r}"):
+        SolverConfig(residual_tolerance=tol)
+
+
 def test_explore_family_seeds_an_equal_config_per_offset(monkeypatch):
     seen = []
     monkeypatch.setattr(solver, "solve", lambda s, t, u, config: seen.append(config) or SimpleNamespace(converged=False, certificate=None))

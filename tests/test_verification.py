@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bornchoice import quantum, verification
-from bornchoice.scenarios import BUILTIN_NAMES, DEFAULT_UTILITY, builtin, utility_differences, utility_values
+from bornchoice.scenarios import BUILTIN_NAMES, DEFAULT_UTILITY, act_utilities, builtin, utility_differences
 from bornchoice.solver import ResidualSystem
 
 # a 3- or 4-term float sum, reordered: within 2 ulp of the largest term;
@@ -41,7 +41,8 @@ def numpy_state_from_polar(scenario, moduli, phases_deg):
 
 
 def reference_target(scenario, state, pair, d):
-    gap = utility_values(scenario, pair[0], DEFAULT_UTILITY) - utility_values(scenario, pair[1], DEFAULT_UTILITY)
+    first, second = (np.array(act_utilities(scenario, act, DEFAULT_UTILITY)) for act in pair)
+    gap = first - second
     p = np.array(state.probabilities())
     return float(np.dot(p, gap)) - d, float(np.max(np.abs(p * gap)))
 
