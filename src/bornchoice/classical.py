@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import combinations
 from typing import Optional, Sequence, Union
 
 from . import _value_class
@@ -237,37 +238,37 @@ def _is_single_swap(scenario: Scenario, first: Union[Act, str, int], second: Uni
     return len(pairs) <= 1
 
 
-def _reduce(scenario: Scenario, coeffs: Sequence[float]) -> tuple[float, ...]:
+def _exact_gap(scenario: Scenario, pair: Sequence, u: UtilityFunction) -> tuple[Fraction, ...]:
+    """The coefficients of W(pair[0]) - W(pair[1]) in p, each float utility gap as the exact rational it stores."""
+    return tuple(map(Fraction, utility_differences(scenario, pair[0], pair[1], u)))
+
+
+def _reduce(scenario: Scenario, coeffs: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Restrict a linear form c . p to the polytope's free coordinates: (coefficients..., constant).
 
     Each group's last event is determined by the others and the group total.
     """
-    const = 0.0
-    reduced: list[float] = []
+    const = Fraction(0)
+    reduced: list[Fraction] = []
     for indices, total in scenario.groups():
         determined = indices[-1]
-        const += coeffs[determined] * float(total)
+        const += coeffs[determined] * total
         reduced += [coeffs[i] - coeffs[determined] for i in indices[:-1]]
     return (*reduced, const)
 
 
-def _factor(v: Sequence[float], w: Sequence[float], tol: float) -> Optional[float]:
-    """The l, taken at v's largest entry, with max_i |w_i - l v_i| <= tol * max(1, |l|), or None.
-
-    v must have an entry other than zero.
-    """
-    k = max(range(len(v)), key=lambda i: abs(v[i]))
-    lam = w[k] / v[k]
-    return lam if max(abs(y - lam * x) for x, y in zip(v, w)) <= tol * max(1.0, abs(lam)) else None
+def _factor(v: Sequence[Fraction], w: Sequence[Fraction]) -> Optional[Fraction]:
+    """The l with w = l v exactly, taken at v's first nonzero entry; None when v is zero or no such l exists."""
+    lam = next((y / x for x, y in zip(v, w) if x), None)
+    return lam if lam is not None and all(y == lam * x for x, y in zip(v, w)) else None
 
 
-def _describe_functional(scenario: Scenario, coeffs: Sequence[float], la: str, lb: str) -> str:
-    terms = []
-    for label, c in zip(scenario.events, coeffs):
-        if abs(c) > 1e-12:
-            terms.append(f"{'+' if c >= 0 else '-'} {abs(c):.6g} p({label})")
-    body = " ".join(terms) if terms else "0"
-    return f"W({la}) - W({lb}) = {body}"
+def _describe_functional(scenario: Scenario, coeffs: Sequence[Fraction], la: str, lb: str) -> str:
+    terms = [
+        f"{'+' if x > 0 else '-'} {abs(x):.6g} p({label})"
+        for label, x in zip(scenario.events, map(float, coeffs)) if x
+    ]
+    return f"W({la}) - W({lb}) = {' '.join(terms) if terms else '0'}"
 
 
 def biconditional_check(
@@ -278,27 +279,19 @@ def biconditional_check(
 ) -> bool:
     """Whether sign(W difference of pair_a) = sign(W difference of pair_b) on the whole polytope.
 
-    Decided by comparing the two affine difference functionals restricted
-    to the constraint polytope: they must be positive multiples of each
-    other there, or both identically zero.
+    Decided exactly by comparing the two affine difference functionals
+    restricted to the constraint polytope: they must be positive multiples
+    of each other there, or both identically zero.
     """
-    ca = utility_differences(scenario, pair_a[0], pair_a[1], u)
-    cb = utility_differences(scenario, pair_b[0], pair_b[1], u)
-    va = _reduce(scenario, ca)
-    vb = _reduce(scenario, cb)
-    tol = 1e-12 * max(1.0, *map(abs, va), *map(abs, vb))
-    a_zero = all(abs(x) <= tol for x in va)
-    b_zero = all(abs(x) <= tol for x in vb)
-    if a_zero or b_zero:
-        return a_zero and b_zero
-    lam = _factor(va, vb, tol)
-    return lam is not None and lam > 0
+    va, vb = (_reduce(scenario, _exact_gap(scenario, pair, u)) for pair in (pair_a, pair_b))
+    lam = _factor(va, vb)
+    return lam > 0 if lam is not None else not any(va) and not any(vb)
 
 
 def _signed_conditions(
     scenario: Scenario, pattern: PreferencePattern, u: UtilityFunction
-) -> list[tuple[str, tuple[float, ...], str]]:
-    """One (kind, oriented coefficients, description) triple per question pair.
+) -> list[tuple[str, tuple[Fraction, ...], str]]:
+    """One (kind, oriented exact coefficients, description) triple per question pair.
 
     Strict entries are oriented so the condition reads "coefficients . p > 0";
     indifferent entries require "coefficients . p = 0".
@@ -311,7 +304,7 @@ def _signed_conditions(
     out = []
     for (a, b), rel in zip(scenario.question_pairs, pattern.relations):
         la, lb = scenario.acts[a].label, scenario.acts[b].label
-        coeffs = utility_differences(scenario, a, b, u)
+        coeffs = _exact_gap(scenario, (a, b), u)
         desc = _describe_functional(scenario, coeffs, la, lb)
         if rel == FIRST_STRICT:
             out.append(("strict", coeffs, f"{desc}; require W({la}) > W({lb})"))
@@ -356,7 +349,7 @@ def _line_minimum(groups, a, b, ends: Optional[tuple[Fraction, Fraction]] = None
 def _decide(scenario: Scenario, conditions):
     """(rational witness, None, None), or (None, multipliers, margin) as in ``FeasibilityResult``."""
     groups = scenario.groups()
-    c = [[Fraction(x) for x in coeffs] for _, coeffs, _ in conditions]
+    c = [coeffs for _, coeffs, _ in conditions]
     strict = [k for k, (kind, _, _) in enumerate(conditions) if kind == "strict"]
     equal = [k for k, (kind, _, _) in enumerate(conditions) if kind == "equal"]
     if len(strict) == 2:
@@ -394,7 +387,7 @@ def _exact_witness(scenario: Scenario, conditions, point: Sequence[Fraction]) ->
     """Whether a rational point is on the polytope, strict margins >= STRICT_MARGIN, indifferences exactly 0."""
     if any(x < 0 for x in point) or any(sum(point[i] for i in idx) != t for idx, t in scenario.groups()):
         return False
-    values = [(kind, _exact_dot(coeffs, point)) for kind, coeffs, _ in conditions]
+    values = [(kind, sum(x * y for x, y in zip(coeffs, point))) for kind, coeffs, _ in conditions]
     return all(v >= STRICT_MARGIN if kind == "strict" else v == 0 for kind, v in values)
 
 
@@ -417,7 +410,7 @@ def _certifies(scenario: Scenario, conditions, weights: Sequence[Fraction]) -> b
                 return False
             strict_total += w
         for i, c in enumerate(coeffs):
-            g[i] += w * Fraction(c)
+            g[i] += w * c
     return support(scenario.groups(), g) < Fraction(STRICT_MARGIN) * strict_total
 
 
@@ -425,25 +418,18 @@ def _infeasibility_certificate(scenario: Scenario, conditions, margin: Optional[
     lines = [desc for _, _, desc in conditions]
     reduced = [(kind, _reduce(scenario, c)) for kind, c, _ in conditions]
     # point out when two conditions pull on one functional in opposite directions
-    for i in range(len(reduced)):
-        for j in range(i + 1, len(reduced)):
-            vi, vj = reduced[i][1], reduced[j][1]
-            scale = max(1.0, *map(abs, vi))
-            if max(map(abs, vi)) <= 1e-12 * scale:
-                continue
-            lam = _factor(vi, vj, 1e-9 * scale)
-            if lam is not None:
-                if reduced[i][0] == "strict" and reduced[j][0] == "strict" and lam < 0:
-                    lines.append(
-                        "on the admissible set, condition "
-                        f"{j + 1} is a negative multiple (factor {lam:.6g}) of condition {i + 1}; "
-                        "the two cannot be strictly positive at the same time"
-                    )
-                elif lam != 0 and (reduced[i][0] == "equal") != (reduced[j][0] == "equal"):
-                    lines.append(
-                        f"conditions {i + 1} and {j + 1} constrain proportional functionals "
-                        f"(factor {lam:.6g}); an exact zero and a strict sign cannot hold together"
-                    )
+    for (i, (kind_i, vi)), (j, (kind_j, vj)) in combinations(enumerate(reduced, 1), 2):
+        lam = _factor(vi, vj)
+        if lam is not None and kind_i == kind_j == "strict" and lam < 0:
+            lines.append(
+                f"on the admissible set, condition {j} is a negative multiple (factor {float(lam):.6g}) "
+                f"of condition {i}; the two cannot be strictly positive at the same time"
+            )
+        elif lam and kind_i != kind_j:
+            lines.append(
+                f"conditions {i} and {j} constrain proportional functionals "
+                f"(factor {float(lam):.6g}); an exact zero and a strict sign cannot hold together"
+            )
     if margin is not None:
         lines.append(f"maximum joint strict margin over the admissible set: {margin:.3e} (needs >= {STRICT_MARGIN:.0e})")
     return "\n".join(lines)

@@ -93,6 +93,12 @@ def _matmul(a: Matrix, b: Matrix) -> Matrix:
     return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a)
 
 
+def _apply(m: Matrix, v: Ket) -> Vector:
+    if v.dim != len(m):
+        raise HilbertError(f"dimension mismatch: operator is {len(m)}-dimensional, ket is {v.dim}-dimensional")
+    return _matvec(m, v.amplitudes)
+
+
 def _adjoint(m: Matrix) -> Matrix:
     return tuple(tuple(z.conjugate() for z in col) for col in zip(*m))
 
@@ -170,9 +176,7 @@ class HermitianOp:
         return len(self.entries)
 
     def apply(self, v: Ket) -> Vector:
-        if v.dim != self.dim:
-            raise HilbertError(f"dimension mismatch: operator is {self.dim}-dimensional, ket is {v.dim}-dimensional")
-        return _matvec(self.entries, v.amplitudes)
+        return _apply(self.entries, v)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(dim={self.dim})"
@@ -255,21 +259,24 @@ def inner_product(bra: Ket, ket_: Ket) -> complex:
 def expectation(op: Union[HermitianOp, Sequence[Sequence[complex]]], v: Ket, unit_tol: float = UNIT_TOL) -> float:
     """Expectation value <v|op|v> of a Hermitian operator in a unit state.
 
-    A raw matrix is checked for hermiticity at 1e-9, and v must have unit
-    norm within ``unit_tol``. Returns the real part; an imaginary part at
-    or above 1e-9, or a NaN one, is an error.
+    A raw matrix is checked for hermiticity at 1e-9 and evaluated as
+    given, and v must have unit norm within ``unit_tol``. Returns the
+    real part; an imaginary part at or above 1e-9, or a NaN one, is an
+    error.
     """
+    arr = _as_matrix(op)
     if not isinstance(op, HermitianOp):
-        arr = _as_matrix(op)
-        adj = _adjoint(arr)
-        dev = _max_dev(arr, adj)
+        dev = _max_dev(arr, _adjoint(arr))
         if not dev <= VALIDATION_TOL:
             raise HilbertError(f"expectation needs a Hermitian operator: max |M - M*| = {dev:.3e}")
-        # symmetrize roundoff-level asymmetry so construction succeeds
-        op = HermitianOp(tuple(tuple((x + y) / 2.0 for x, y in zip(ra, rb)) for ra, rb in zip(arr, adj)))
+    return _expectation(arr, v, unit_tol)
+
+
+def _expectation(m: Matrix, v: Ket, unit_tol: float) -> float:
+    """``expectation`` on a matrix whose hermiticity is already checked."""
     if not v.is_unit(unit_tol):
         raise HilbertError(f"expectation needs a unit vector: norm = {v.norm():.12g}")
-    value = complex(_vdot(v.amplitudes, op.apply(v)))
+    value = complex(_vdot(v.amplitudes, _apply(m, v)))
     if not abs(value.imag) < VALIDATION_TOL:
         raise HilbertError(f"expectation came out non-real (imaginary part {value.imag:.3e})")
     return value.real
@@ -282,16 +289,15 @@ def born_probability(proj: Union[Projector, Sequence[Sequence[complex]]], v: Ket
     for hermiticity and idempotency at 1e-9. The result must land in
     [0, 1] within 1e-9 and is clipped onto the interval to absorb roundoff.
     """
+    arr = _as_matrix(proj)
     if not isinstance(proj, Projector):
-        arr = _as_matrix(proj)
         herm = _max_dev(arr, _adjoint(arr))
         idem = _max_dev(_matmul(arr, arr), arr)
         if not (herm <= VALIDATION_TOL and idem <= VALIDATION_TOL):
             raise HilbertError(
                 f"born_probability needs an orthogonal projector: max |M - M*| = {herm:.3e}, max |MM - M| = {idem:.3e}"
             )
-        proj = arr
-    p = expectation(proj, v, unit_tol=unit_tol)
+    p = _expectation(arr, v, unit_tol)
     if not -VALIDATION_TOL <= p <= 1.0 + VALIDATION_TOL:
         raise HilbertError(f"Born probability {p!r} is outside [0, 1] beyond tolerance")
     return min(1.0, max(0.0, p))

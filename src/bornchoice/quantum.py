@@ -229,8 +229,8 @@ def expected_ball_counts(
     divided by the group total.
     """
     scenario = state.scenario
-    if total_balls <= 0:
-        raise ScenarioError(f"total ball count must be positive, got {total_balls}")
+    if not 0 < total_balls < math.inf:
+        raise ScenarioError(f"total ball count must be finite and positive, got {total_balls}")
     indices = tuple(sorted(scenario.event_index(lab) for lab in event_labels))
     for group, total in scenario.groups():
         if group == indices:

@@ -164,6 +164,8 @@ def binomial_z_test(k: int, n: int, p0: float = 0.5) -> float:
     """Two-sided normal-approximation test of k successes in n trials, no continuity correction."""
     if not 0 <= k <= n:
         raise ScenarioError(f"need 0 <= k <= n, got k={k}, n={n}")
+    if n == 0:
+        raise ScenarioError(f"the z-test needs at least one trial, got n={n}")
     if not 0.0 < p0 < 1.0:
         raise ScenarioError(f"null proportion must be strictly inside (0, 1), got {p0}")
     z = (k - n * p0) / math.sqrt(n * p0 * (1.0 - p0))

@@ -43,8 +43,11 @@ class SolveTarget:
     require_orthogonal: bool = True
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.d1) and math.isfinite(self.d2)):
-            raise ScenarioError(f"target differences must be finite, got {self.d1}, {self.d2}")
+        for name in ("d1", "d2"):
+            d = getattr(self, name)
+            if not _finite_number(d):
+                raise ScenarioError(f"target difference {name} must be a finite number, got {d!r}")
+            object.__setattr__(self, name, float(d))
 
     @staticmethod
     def for_scenario(
@@ -88,13 +91,17 @@ class SolveTarget:
         }
 
 
+def _finite_number(x) -> bool:
+    """Whether x is a real number, not a bool, that is finite as a float."""
+    try:
+        return not isinstance(x, bool) and math.isfinite(x)
+    except (TypeError, OverflowError):
+        return False
+
+
 def check_tolerance(tol: float) -> None:
     """Raise ScenarioError unless a residual tolerance is a finite positive number, not a bool."""
-    try:
-        valid = not isinstance(tol, bool) and math.isfinite(tol) and tol > 0
-    except TypeError:
-        valid = False
-    if not valid:
+    if not (_finite_number(tol) and tol > 0):
         raise ScenarioError(f"residual_tolerance must be finite and positive, got {tol!r}")
 
 
@@ -108,8 +115,9 @@ def _named_residuals(
 ) -> dict[str, float]:
     """Every equation's residual; ``d_1``/``d_2`` are the pairs' gap vectors.
 
-    The group keys are interned, so the results of many solves share one
-    string per key.
+    A group's key joins its event labels, prefixed with the group's
+    1-based position when two groups would join alike. The group keys are
+    interned, so the results of many solves share one string per key.
     """
     p1 = w1.probabilities()
     p2 = w2.probabilities()
@@ -122,10 +130,14 @@ def _named_residuals(
         "norm_w1": sum(p1) - 1.0,
         "norm_w2": sum(p2) - 1.0,
     }
-    for idx, t in scenario.groups():
-        labels = "".join(scenario.events[i] for i in idx)
-        out[sys.intern(f"group_{labels}_w1")] = sum(p1[i] for i in idx) - float(t)
-        out[sys.intern(f"group_{labels}_w2")] = sum(p2[i] for i in idx) - float(t)
+    groups = scenario.groups()
+    keys = ["".join(scenario.events[i] for i in idx) for idx, _ in groups]
+    if len(set(keys)) < len(keys):
+        # labels such as A, BC and AB, C join alike
+        keys = [f"{k}_{key}" for k, key in enumerate(keys, 1)]
+    for key, (idx, t) in zip(keys, groups):
+        out[sys.intern(f"group_{key}_w1")] = sum(p1[i] for i in idx) - float(t)
+        out[sys.intern(f"group_{key}_w2")] = sum(p2[i] for i in idx) - float(t)
     return out
 
 

@@ -178,24 +178,42 @@ def test_expected_utility_is_affine_in_p():
 
 # -- feasibility: truth tables ------------------------------------------
 
-# patterns whose first-pair and second-pair functionals are exact
-# negatives (ellsberg3, machina5051) admit only opposite strict signs;
-# the reflection scenarios' functionals are exactly equal
-ANTI_FEASIBLE = {
-    (FIRST_STRICT, SECOND_STRICT),
-    (SECOND_STRICT, FIRST_STRICT),
-    (INDIFFERENT, INDIFFERENT),
+# the pinned verdict per relation pair: (feasible, multipliers, the
+# proportionality line of the certificate, if any). The first-pair and
+# second-pair functionals of ellsberg3 and machina5051 are exact negatives
+# on the polytope, so only opposite strict signs hold; the reflection
+# scenarios' functionals are exactly equal
+F, S, I = FIRST_STRICT, SECOND_STRICT, INDIFFERENT
+NEGATIVE = "is a negative multiple (factor -1) of condition 1"
+PROPORTIONAL = "constrain proportional functionals (factor"
+HALVES = (Fraction(1, 2), Fraction(1, 2))
+ANTI_VERDICTS = {
+    (F, F): (False, HALVES, NEGATIVE),
+    (F, S): (True, None, None),
+    (F, I): (False, (1, 1), PROPORTIONAL),
+    (S, F): (True, None, None),
+    (S, S): (False, HALVES, NEGATIVE),
+    (S, I): (False, (1, -1), PROPORTIONAL),
+    (I, F): (False, (1, 1), PROPORTIONAL),
+    (I, S): (False, (-1, 1), PROPORTIONAL),
+    (I, I): (True, None, None),
 }
-ALIGNED_FEASIBLE = {
-    (FIRST_STRICT, FIRST_STRICT),
-    (SECOND_STRICT, SECOND_STRICT),
-    (INDIFFERENT, INDIFFERENT),
+ALIGNED_VERDICTS = {
+    (F, F): (True, None, None),
+    (F, S): (False, HALVES, NEGATIVE),
+    (F, I): (False, (1, -1), PROPORTIONAL),
+    (S, F): (False, HALVES, NEGATIVE),
+    (S, S): (True, None, None),
+    (S, I): (False, (1, 1), PROPORTIONAL),
+    (I, F): (False, (-1, 1), PROPORTIONAL),
+    (I, S): (False, (1, 1), PROPORTIONAL),
+    (I, I): (True, None, None),
 }
-EXPECTED_FEASIBLE = {
-    "ellsberg3": ANTI_FEASIBLE,
-    "machina5051": ANTI_FEASIBLE,
-    "reflection_lower": ALIGNED_FEASIBLE,
-    "reflection_upper": ALIGNED_FEASIBLE,
+VERDICTS = {
+    "ellsberg3": ANTI_VERDICTS,
+    "machina5051": ANTI_VERDICTS,
+    "reflection_lower": ALIGNED_VERDICTS,
+    "reflection_upper": ALIGNED_VERDICTS,
 }
 
 
@@ -254,7 +272,9 @@ def test_feasibility_truth_table(name, u):
     for combo in product(RELATIONS, repeat=2):
         pattern = PreferencePattern(combo)
         result = feasibility(s, pattern, u)
-        assert result.feasible == (combo in EXPECTED_FEASIBLE[name]), combo
+        feasible, multipliers, line = VERDICTS[name][combo]
+        assert (result.feasible, result.multipliers) == (feasible, multipliers), combo
+        assert [text for text in (NEGATIVE, PROPORTIONAL) if text in result.certificate] == ([line] if line else []), combo
         assert_verdict_proven(s, result, u)
         assert result.u_independent is True
         if result.feasible:
@@ -274,6 +294,33 @@ def test_feasibility_accepts_pattern_text():
     assert not result.feasible
     assert "negative multiple" in result.certificate
     assert "strictly increasing utility" in result.certificate
+
+
+def _near_proportional():
+    """Conditions of f1>f2,f4>f3 proportional but for a 1e-12 utility step: both hold where p(Y) = p(B)."""
+    s = Scenario(
+        "near_proportional",
+        ("R", "Y", "B"),
+        (Act("f1", (0, 10, 0)), Act("f2", (0, 0, 10)), Act("f3", (10, 10, 0)), Act("f4", (11, 0, 10))),
+        (
+            ProbabilityConstraint(frozenset({0}), Fraction(1, 3)),
+            ProbabilityConstraint(frozenset({1, 2}), Fraction(2, 3)),
+        ),
+        ((0, 1), (3, 2)),
+    )
+    return s, UtilityFunction.from_table({0: 0, 10: 10, 11: 10 + 1e-12})
+
+
+def test_proportionality_is_decided_exactly():
+    s, u = _near_proportional()
+    result = feasibility(s, "f1>f2,f4>f3", u)
+    # the joint margin is positive, below STRICT_MARGIN: no negative multiple
+    assert not result.feasible
+    assert 0 < result.margin < STRICT_MARGIN
+    assert "multiple" not in result.certificate and "proportional" not in result.certificate
+    assert_verdict_proven(s, result, u)
+    assert not biconditional_check(s, ("f1", "f2"), ("f3", "f4"), u)
+    assert not biconditional_check(s, ("f1", "f2"), ("f4", "f3"), u)
 
 
 def test_feasibility_machina_paradox_pattern_infeasible():

@@ -261,8 +261,10 @@ def test_collapse_onto_a_nan_projector_is_an_error():
 def test_expectation_rejects_an_overflow_to_nan():
     # finite entries whose product overflows: the imaginary part is NaN
     big = 1.5e308
-    with pytest.raises(HilbertError, match="non-real"):
-        expectation(HermitianOp([[big, big], [big, big]]), ket([math.sqrt(0.5), math.sqrt(0.5)]))
+    matrix = [[big, big], [big, big]]
+    for op in (HermitianOp(matrix), matrix):
+        with pytest.raises(HilbertError, match="non-real"):
+            expectation(op, ket([math.sqrt(0.5), math.sqrt(0.5)]))
 
 
 def test_inputs_are_read_by_iteration():

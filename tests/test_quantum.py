@@ -244,6 +244,9 @@ def test_expected_ball_counts_errors():
         expected_ball_counts(v, ("R", "Y"), 60)
     with pytest.raises(ScenarioError, match="positive"):
         expected_ball_counts(v, ("Y", "B"), 0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ScenarioError, match=f"finite and positive, got {bad}"):
+            expected_ball_counts(v, ("Y", "B"), bad)
     # label order inside the group does not matter
     assert expected_ball_counts(v, ("B", "Y"), 60) == pytest.approx({"Y": 30.0, "B": 30.0})
 

@@ -106,6 +106,10 @@ def test_solve_target_for_scenario():
 def test_solve_target_validation():
     with pytest.raises(ScenarioError, match="finite"):
         SolveTarget(("f1", "f2"), math.nan, ("f4", "f3"), 0.5)
+    for bad in ("x", True, None, 1j, 10**400):
+        with pytest.raises(ScenarioError, match=f"target difference d1 must be a finite number, got {bad!r}"):
+            SolveTarget(("f1", "f2"), bad, ("f4", "f3"), 0.1)
+    assert type(SolveTarget(("f1", "f2"), 1, ("f4", "f3"), 0.5).d1) is float
     doc = builtin("ellsberg3").to_document()
     doc["name"] = "custom"
     custom = load_scenario(doc)
@@ -127,6 +131,8 @@ def test_solver_config_validation():
         SolverConfig(residual_tolerance=0.0)
     with pytest.raises(ScenarioError, match="residual_tolerance"):
         SolverConfig(residual_tolerance=True)
+    with pytest.raises(ScenarioError, match="residual_tolerance"):
+        SolverConfig(residual_tolerance=10**400)  # too large for a float
     for field in ("restarts", "seed", "max_iterations"):
         for value in (2.5, 1.0, True, False):
             with pytest.raises(ScenarioError, match=f"{field} must be an integer, got {value}"):

@@ -148,6 +148,8 @@ def test_binomial_z_rejects_bad_arguments():
         binomial_z_test(10, 200, p0=0.0)
     with pytest.raises(ScenarioError, match="strictly inside"):
         binomial_z_test(10, 200, p0=1.0)
+    with pytest.raises(ScenarioError, match="at least one trial, got n=0"):
+        binomial_z_test(0, 0)
 
 
 # -- exact binomial test ---------------------------------------------------

@@ -9,13 +9,23 @@ two agree within a few ulp of the largest term, not bit for bit.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from bornchoice import quantum, verification
-from bornchoice.scenarios import BUILTIN_NAMES, DEFAULT_UTILITY, act_utilities, builtin, utility_differences
-from bornchoice.solver import ResidualSystem
+from bornchoice.scenarios import (
+    BUILTIN_NAMES,
+    DEFAULT_UTILITY,
+    Act,
+    ProbabilityConstraint,
+    Scenario,
+    act_utilities,
+    builtin,
+    utility_differences,
+)
+from bornchoice.solver import ResidualSystem, SolverConfig, solve
 
 # a 3- or 4-term float sum, reordered: within 2 ulp of the largest term;
 # subtracting the target gap then rounds once more, at the result's ulp
@@ -86,3 +96,28 @@ def test_state_from_polar_equals_the_array_snap_exactly(name):
     for moduli, phases in ((entry["moduli_1"], entry["phases_1"]), (entry["moduli_2"], entry["phases_2"])):
         state = quantum.state_from_polar(scenario, moduli, phases)
         assert (state.moduli, state.phases) == numpy_state_from_polar(scenario, moduli, phases)
+
+
+def test_distinct_groups_get_distinct_residual_keys():
+    # {A, BC} and {AB, C} both join to "ABC": each group keeps its own line
+    s = Scenario(
+        "joined",
+        ("A", "BC", "AB", "C"),
+        tuple(Act(f"f{k}", payoffs) for k, payoffs in
+              enumerate(((100, 0, 0, 0), (0, 100, 0, 0), (0, 0, 100, 0), (0, 0, 0, 100)), 1)),
+        (
+            ProbabilityConstraint(frozenset({0, 1}), Fraction(1, 2)),
+            ProbabilityConstraint(frozenset({2, 3}), Fraction(1, 2)),
+        ),
+        ((0, 1), (2, 3)),
+    )
+    target = verification.SolveTarget(("f1", "f2"), 0.5, ("f3", "f4"), -0.5)
+    w = quantum.initial_state(s)
+    groups = {"group_1_ABC_w1", "group_1_ABC_w2", "group_2_ABC_w1", "group_2_ABC_w2"}
+    names = [line.name for line in verification.verify(s, w, w, target).checks]
+    assert len(names) == len(set(names)) == 10
+    assert groups <= set(names)
+    assert set(solve(s, target, config=SolverConfig(restarts=1)).residuals) == set(names)
+    # built-in labels never collide, so their keys stay the joined labels
+    report = verification.paper_solutions("ellsberg3").verify()
+    assert {"group_R_w1", "group_YB_w2"} <= {line.name for line in report.checks}
